@@ -32,7 +32,7 @@ Subpackages
     CSR graphs, builders, generators, IO, Table-2 proxy registry, the
     shared-memory export plane and the sharded (partitioned) plane.
 ``repro.kernels``
-    Compiled kernel plane: numba- and C-compiled twins of the hot
+    Compiled kernel plane: C-compiled twins of the hot
     diffusion loops, selected by the ``kernel=`` knob, bit-identical to
     the Python reference.
 ``repro.ligra``

@@ -1,19 +1,18 @@
-"""Knob-threading completeness: every engine knob reaches every layer.
+"""Knob and wire-schema completeness, read from the definitions.
 
-The repo's bug history (PRs 4 and 8 both shipped fix-sweeps for
-silently-ignored knobs) is one bug class: a field added to
-:class:`~repro.core.options.EngineOptions` that one of the five entry
-layers never learned about, so the knob is accepted at the edge and
-dropped on the floor inside.  These rules read the *definitions* —
-the options dataclasses, the ``_ENGINE_KNOBS`` wire tuple, the
-``BatchEngine``/``resolve_engine``/``DiffusionService`` signatures and
-the argparse flags in ``cli.py`` — and cross-check them, so the gap is
-caught at analysis time instead of in a flaky integration test.
+Every engine entry point turns its knobs into one
+:class:`~repro.core.options.EngineOptions` record with
+``EngineOptions.coerce``, so a new dataclass field reaches the Python
+layers by construction.  The one layer that still lists knobs by hand is
+the CLI's argparse flag set; a field it never learned about is accepted
+by the library and unreachable from the command line.  These rules read
+the *definitions* — the options dataclasses and the argparse flags in
+``cli.py`` — and cross-check them, so the gap is caught at analysis time
+instead of in a flaky integration test.
 
 Two rule ids:
 
-* ``knob-threading`` — EngineOptions fields vs ``_ENGINE_KNOBS`` vs the
-  three callable layers vs the CLI flag set.
+* ``knob-threading`` — EngineOptions fields vs the CLI flag set.
 * ``wire-schema`` — ClusterRequest fields vs its wire-v1 ``known``
   tuple and ``to_wire`` payload keys.
 
@@ -31,10 +30,6 @@ from typing import Iterator
 from .core import Finding, Project, Rule, Source
 
 __all__ = ["KnobThreadingRule", "WireSchemaRule"]
-
-#: ``resolve_engine``/``DiffusionService`` spell the ``backend`` knob
-#: ``engine`` (they accept a live engine object *or* a backend name).
-PARAM_ALIASES = {"backend": ("backend", "engine")}
 
 #: Knobs deliberately absent from the CLI: ``backend`` is inferred
 #: (``--shards``/``--workers`` imply it), ``parallel`` and
@@ -68,26 +63,11 @@ def _string_tuple(node: ast.AST) -> tuple[str, ...] | None:
     return None
 
 
-def _module_assignment(source: Source, name: str) -> tuple[ast.AST, int] | None:
-    for statement in source.tree.body:
-        if isinstance(statement, ast.Assign):
-            for target in statement.targets:
-                if isinstance(target, ast.Name) and target.id == name:
-                    return statement.value, statement.lineno
-    return None
-
-
 def _method(node: ast.ClassDef, name: str) -> ast.FunctionDef | None:
     for statement in node.body:
         if isinstance(statement, ast.FunctionDef) and statement.name == name:
             return statement
     return None
-
-
-def _param_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-    args = node.args
-    names = [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs]
-    return {name for name in names if name != "self"}
 
 
 def _argparse_flags(source: Source) -> set[str]:
@@ -109,80 +89,16 @@ def _argparse_flags(source: Source) -> set[str]:
     return flags
 
 
-def _find_defining_source(
-    project: Project, class_name: str
-) -> tuple[Source, ast.ClassDef] | None:
-    return project.find_class(class_name)
-
-
 class KnobThreadingRule(Rule):
     id = "knob-threading"
-    summary = (
-        "every EngineOptions field must be threaded through _ENGINE_KNOBS, "
-        "BatchEngine, resolve_engine, DiffusionService and the CLI flags"
-    )
+    summary = "every EngineOptions field must have a CLI flag"
     scope = "project"
 
     def check_project(self, project: Project) -> Iterator[Finding]:
-        located = _find_defining_source(project, "EngineOptions")
+        located = project.find_class("EngineOptions")
         if located is None:
             return
-        options_source, options_class = located
-        fields = _dataclass_fields(options_class)
-
-        knobs = _module_assignment(options_source, "_ENGINE_KNOBS")
-        if knobs is not None:
-            value, lineno = knobs
-            names = _string_tuple(value)
-            if names is None:
-                yield options_source.finding(
-                    self.id, lineno, "_ENGINE_KNOBS is not a tuple of field names"
-                )
-            else:
-                for missing in sorted(set(fields) - set(names)):
-                    yield options_source.finding(
-                        self.id,
-                        lineno,
-                        f"EngineOptions.{missing} is missing from _ENGINE_KNOBS "
-                        "(the wire schema will drop it)",
-                    )
-                for extra in sorted(set(names) - set(fields)):
-                    yield options_source.finding(
-                        self.id,
-                        lineno,
-                        f"_ENGINE_KNOBS names {extra!r} which is not an "
-                        "EngineOptions field",
-                    )
-
-        yield from self._check_callable_layers(project, fields)
-        yield from self._check_cli(project, fields)
-
-    def _check_callable_layers(
-        self, project: Project, fields: dict[str, int]
-    ) -> Iterator[Finding]:
-        layers: list[tuple[Source, ast.FunctionDef | ast.AsyncFunctionDef, str]] = []
-        for class_name in ("BatchEngine", "DiffusionService"):
-            located = project.find_class(class_name)
-            if located is not None:
-                source, node = located
-                init = _method(node, "__init__")
-                if init is not None:
-                    layers.append((source, init, f"{class_name}.__init__"))
-        resolver = project.find_function("resolve_engine")
-        if resolver is not None:
-            source, node = resolver
-            layers.append((source, node, "resolve_engine"))
-        for source, node, label in layers:
-            params = _param_names(node)
-            for field in sorted(fields):
-                accepted = PARAM_ALIASES.get(field, (field,))
-                if not any(name in params for name in accepted):
-                    yield source.finding(
-                        self.id,
-                        node.lineno,
-                        f"{label} does not accept the EngineOptions knob "
-                        f"{field!r} (accepted at the options layer, dropped here)",
-                    )
+        yield from self._check_cli(project, _dataclass_fields(located[1]))
 
     def _check_cli(
         self, project: Project, fields: dict[str, int]

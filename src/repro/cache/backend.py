@@ -1,8 +1,9 @@
 """The caching execution backend: dispatch misses, replay hits, in order.
 
-:class:`CachingBackend` wraps any engine backend (serial or process pool)
-behind the same ``stream()`` contract the
-:class:`~repro.engine.executor.BatchEngine` consumes.  For each batch it
+:class:`CachingBackend` wraps any engine backend (serial, process pool or
+shard router) behind the same session protocol the
+:class:`~repro.engine.executor.BatchEngine` consumes.  For each batch its
+:class:`CachingSession`
 
 1. computes every job's :class:`~repro.cache.keys.CacheKey` against the
    graph's content fingerprint,
@@ -27,6 +28,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
+from ..engine.executor import ExecutionSession, PoolBackend
 from .keys import CacheKey, cache_key_for
 from .store import ResultCache
 
@@ -51,10 +53,8 @@ def _cached_batch(
 ) -> Iterator["JobOutcome"]:
     """Serve one batch: replay hits, coalesce duplicates, dispatch misses.
 
-    The single implementation behind both :meth:`CachingBackend.stream`
-    (one-shot) and :meth:`CachingSession.run` (persistent inner session):
-    ``dispatch`` receives the de-duplicated miss list and returns their
-    outcomes in miss order.
+    The body of :class:`CachingSession`'s dispatch: ``dispatch`` receives
+    the de-duplicated miss list and returns their outcomes in miss order.
     """
     keys = [cache_key_for(fingerprint, job, parallel, include_vectors) for job in jobs]
 
@@ -101,11 +101,12 @@ def _cached_batch(
         yield outcome
 
 
-class CachingSession:
-    """Session protocol over a cached backend: hits replay, misses reuse
-    one inner session (and therefore one pool + one graph export) across
-    consecutive batches.  This is what lets the serving plane answer hot
-    interactive queries without touching the pool at all."""
+class CachingSession(ExecutionSession):
+    """Hits replay; misses go to one inner session across consecutive
+    batches (one pool + one graph export), opened with the first miss —
+    so an all-hit batch never starts a pool.  This is what lets the
+    serving plane answer hot interactive queries without touching the
+    pool at all.  ``batches`` counts the batches that had misses."""
 
     def __init__(
         self,
@@ -114,55 +115,48 @@ class CachingSession:
         parallel: bool,
         include_vectors: bool,
     ) -> None:
+        super().__init__(backend, graph, parallel, include_vectors)
         self.cache = backend.cache
-        self.parallel = parallel
-        self.include_vectors = include_vectors
-        self._fingerprint = graph.fingerprint()
-        self.inner = backend.inner.open_session(graph, parallel, include_vectors)
+        self.inner: ExecutionSession | None = None
 
-    @property
-    def batches(self) -> int:
-        return self.inner.batches
-
-    @property
-    def closed(self) -> bool:
-        return self.inner.closed
-
-    def run(self, jobs: Iterable["DiffusionJob"]) -> Iterator["JobOutcome"]:
-        """Stream one batch in job order; only misses reach the inner session."""
-        if self.inner.closed:
-            raise RuntimeError("session is closed")
+    def _dispatch(self, jobs: Sequence["DiffusionJob"]) -> Iterator["JobOutcome"]:
+        # Misses take the base _dispatch (counted in ``batches``), whose
+        # _run below forwards them to the inner session.
         return _cached_batch(
             self.cache,
-            self._fingerprint,
-            list(jobs),
+            self.graph.fingerprint(),
+            jobs,
             self.parallel,
             self.include_vectors,
-            self.inner.run,
+            super()._dispatch,
         )
 
+    def _run(self, jobs: Sequence["DiffusionJob"]) -> Iterator["JobOutcome"]:
+        if self.inner is None:
+            backend: CachingBackend = self.backend  # type: ignore[assignment]
+            self.inner = backend.inner.open_session(
+                self.graph, self.parallel, self.include_vectors
+            )
+        return self.inner.run(jobs)
+
     def close(self) -> None:
-        self.inner.close()
-
-    def __enter__(self) -> "CachingSession":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        super().close()
+        if self.inner is not None:
+            self.inner.close()
 
 
-class CachingBackend:
+class CachingBackend(PoolBackend):
     """Wrap an engine backend so only cache misses reach its workers."""
 
-    def __init__(self, inner, cache: ResultCache | None = None) -> None:
+    def __init__(self, inner: PoolBackend, cache: ResultCache | None = None) -> None:
         self.inner = inner
         self.cache = cache if cache is not None else ResultCache()
 
-    @property
+    @property  # type: ignore[override]
     def workers(self) -> int:
         return self.inner.workers
 
-    @property
+    @property  # type: ignore[override]
     def folds_into_tracker(self) -> bool:
         return self.inner.folds_into_tracker
 
@@ -174,24 +168,3 @@ class CachingBackend:
     ) -> CachingSession:
         """A session whose misses share one inner (pool) session."""
         return CachingSession(self, graph, parallel, include_vectors)
-
-    def stream(
-        self,
-        graph: "CSRGraph",
-        jobs: Sequence["DiffusionJob"],
-        parallel: bool,
-        include_vectors: bool,
-    ) -> Iterator["JobOutcome"]:
-        jobs = list(jobs)
-        if not jobs:
-            return
-        yield from _cached_batch(
-            self.cache,
-            graph.fingerprint(),
-            jobs,
-            parallel,
-            include_vectors,
-            lambda miss_jobs: self.inner.stream(
-                graph, miss_jobs, parallel, include_vectors
-            ),
-        )

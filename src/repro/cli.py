@@ -61,7 +61,7 @@ additionally honours a per-request ``"graph_version"`` wire field, so
 clients can keep querying a superseded version.
 
 ``cluster``, ``ncp``, ``batch`` and ``serve`` accept ``--kernel``
-(``auto``/``python``/``numba``/``c``): the loop implementation for the
+(``auto``/``python``/``c``): the loop implementation for the
 hot diffusion paths.  Results are bit-identical across kernels — the
 flag only changes speed; ``auto`` picks the fastest available and
 silently falls back to Python.
@@ -70,6 +70,7 @@ silently falls back to Python.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from pathlib import Path
@@ -78,6 +79,7 @@ import numpy as np
 
 from .cache import DiskStore, resolve_cache
 from .core import ALGORITHMS, cluster_stats, local_cluster, ncp_profile, random_seeds
+from .core.options import EngineOptions
 from .engine import BatchEngine, BestClusterReducer, StatsReducer, job_grid
 from .graph import (
     PROXIES,
@@ -307,20 +309,44 @@ def _cache_from_args(args: argparse.Namespace):
     return resolve_cache(args.cache_dir or (True if args.cache else None))
 
 
+#: engine knobs that surface as CLI flags of the same name, and the
+#: pattern that finds them in a validator message.
+_FLAG_KNOBS = (
+    "workers", "start_method", "schedule", "shards", "max_resident_shards",
+    "spill_shards", "halo_bytes", "kernel",
+)
+_FLAG_KNOB_NAMES = re.compile(r"(?<![\w-])(" + "|".join(_FLAG_KNOBS) + r")(?![\w-])")
+
+
+def _engine_options(args: argparse.Namespace, cache, **fixed: object) -> EngineOptions:
+    """The command's engine flags as one EngineOptions record.
+
+    ``EngineOptions.validate`` is the only conflict check; its message is
+    reported with each knob spelled as its flag (``--start-method``).
+    """
+    knobs = {name: getattr(args, name, None) for name in _FLAG_KNOBS}
+    if knobs["workers"] is not None and knobs["workers"] <= 1:
+        knobs["workers"] = None  # --workers 1 means in-process
+    try:
+        return EngineOptions.coerce(cache=cache, **knobs, **fixed)
+    except ValueError as error:
+        message = _FLAG_KNOB_NAMES.sub(
+            lambda match: "--" + match.group(1).replace("_", "-"), str(error)
+        )
+        raise SystemExit(f"error: {message}") from None
+
+
 def _cmd_ncp(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     cache = _cache_from_args(args)
+    engine = BatchEngine(graph, options=_engine_options(args, cache, include_vectors=False))
     profile = ncp_profile(
         graph,
         num_seeds=args.seeds,
         alphas=tuple(args.alpha),
         eps_values=tuple(args.eps),
         rng=args.rng,
-        workers=args.workers,
-        cache=cache,
-        start_method=args.start_method,
-        schedule=args.schedule,
-        kernel=args.kernel,
+        engine=engine,
     )
     sizes, phis = profile.series()
     out = Path(args.output)
@@ -362,31 +388,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     workers = max(1, args.workers)
     cache = _cache_from_args(args)
-    _check_shard_flags(args)
-    if args.shards is not None:
-        _check_shard_conflicts(args, workers)
-        engine = BatchEngine(
-            graph,
-            backend="sharded",
-            shards=args.shards,
-            max_resident_shards=args.max_resident_shards,
-            spill_shards=args.spill_shards,
-            halo_bytes=args.halo_bytes,
-            include_vectors=False,
-            cache=cache,
-            kernel=args.kernel,
-        )
-    else:
-        engine = BatchEngine(
-            graph,
-            backend="process" if workers > 1 else "serial",
-            workers=workers,
-            include_vectors=False,
-            cache=cache,
-            start_method=args.start_method,
-            schedule=args.schedule,
-            kernel=args.kernel,
-        )
+    engine = BatchEngine(graph, options=_engine_options(args, cache, include_vectors=False))
     # Stream outcomes straight to CSV so a large batch never lives in memory.
     stats_reducer = StatsReducer(engine=engine)
     best_reducer = BestClusterReducer()
@@ -457,34 +459,6 @@ def _print_scheduler_stats(engine: BatchEngine, stats) -> None:
             )
 
 
-def _serve_options(args: argparse.Namespace, cache) -> "object":
-    """The serving engine's knobs as one canonical EngineOptions record."""
-    from .core.options import EngineOptions
-
-    workers = max(1, args.workers)
-    if args.shards is not None:
-        return EngineOptions(
-            backend="sharded",
-            shards=args.shards,
-            max_resident_shards=args.max_resident_shards,
-            spill_shards=args.spill_shards,
-            halo_bytes=args.halo_bytes,
-            include_vectors=False,
-            cache=cache,
-            kernel=args.kernel,
-            graph_version=args.at_version,
-        )
-    return EngineOptions(
-        workers=workers if workers > 1 else None,
-        include_vectors=False,
-        cache=cache,
-        start_method=args.start_method,
-        schedule=args.schedule,
-        kernel=args.kernel,
-        graph_version=args.at_version,
-    )
-
-
 def _parse_listen(spec: str) -> tuple[str, int]:
     host, sep, port = spec.rpartition(":")
     if not sep or not port.isdigit():
@@ -504,17 +478,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     graph = _evolving_from_args(_load_graph(args.graph), args)
     cache = _cache_from_args(args)
-    workers = max(1, args.workers)
-    _check_shard_flags(args)
-    if args.shards is not None:
-        _check_shard_conflicts(args, workers)
-    elif workers == 1 and args.start_method is not None:
-        raise SystemExit(
-            "error: --start-method configures the worker pool; pass --workers > 1"
-        )
     service = DiffusionService(
         graph,
-        options=_serve_options(args, cache),
+        options=_engine_options(
+            args, cache, include_vectors=False, graph_version=args.at_version
+        ),
         max_batch=args.max_batch,
         max_linger=args.max_linger / 1000.0,
         max_batch_cost=args.max_batch_cost,
@@ -966,22 +934,23 @@ def _add_pool_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--schedule",
         choices=["cost", "fifo"],
-        default="cost",
-        help="dispatch policy: 'cost' feeds workers fine-grained units in "
-        "heaviest-first order from the O(1/(eps*alpha))-style work bounds "
-        "— workers steal the next unit as they finish (default); 'fifo' "
-        "uses pre-planned contiguous count-based chunks",
+        default=None,
+        help="dispatch policy of the worker pool: 'cost' feeds workers "
+        "fine-grained units in heaviest-first order from the "
+        "O(1/(eps*alpha))-style work bounds — workers steal the next unit "
+        "as they finish (default); 'fifo' uses pre-planned contiguous "
+        "count-based chunks",
     )
 
 
 def _add_kernel_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernel",
-        choices=["auto", "python", "numba", "c"],
+        choices=["auto", "python", "c"],
         default=None,
         metavar="KERNEL",
         help="loop implementation for the hot diffusion paths (auto, python, "
-        "numba, c).  Results are bit-identical across kernels; 'auto' picks "
+        "c).  Results are bit-identical across kernels; 'auto' picks "
         "the fastest available and falls back to python (default: python)",
     )
 
@@ -1005,39 +974,6 @@ def _add_version_flags(parser: argparse.ArgumentParser) -> None:
         help="run against this version of the update chain "
         "(default: the latest; version 0 is the loaded graph)",
     )
-
-
-def _check_shard_flags(args: argparse.Namespace) -> None:
-    """Shard tuning flags are meaningless without --shards; reject them
-    loudly rather than silently running unsharded."""
-    if args.shards is not None:
-        return
-    for flag, value in (
-        ("--max-resident-shards", args.max_resident_shards),
-        ("--spill-shards", args.spill_shards),
-        ("--halo-bytes", args.halo_bytes),
-    ):
-        if value is not None:
-            raise SystemExit(f"error: {flag} requires --shards")
-
-
-def _check_shard_conflicts(args: argparse.Namespace, workers: int) -> None:
-    """--shards selects the in-process shard router; pool flags don't apply."""
-    if workers > 1:
-        raise SystemExit(
-            "error: --shards routes jobs in-process; it is incompatible "
-            "with --workers > 1"
-        )
-    if args.start_method is not None:
-        raise SystemExit(
-            "error: --start-method configures the worker pool; it does not "
-            "apply with --shards"
-        )
-    if args.schedule != "cost":
-        raise SystemExit(
-            "error: --schedule packs process-pool chunks; it does not "
-            "apply with --shards"
-        )
 
 
 def _add_shard_flags(parser: argparse.ArgumentParser) -> None:

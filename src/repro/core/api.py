@@ -82,7 +82,7 @@ def local_cluster(
         methods; default 0).
     kernel:
         Loop implementation for the hot paths (:mod:`repro.kernels`):
-        ``None``/``"python"`` (default), ``"numba"``, ``"c"``, or
+        ``None``/``"python"`` (default), ``"c"``, or
         ``"auto"`` for the best available with graceful fallback.
         Results are bit-identical across kernels.
     **param_overrides:
@@ -238,7 +238,8 @@ def cluster_many(
     (:mod:`repro.kernels`); outcomes — and cache entries — are
     bit-identical across kernels.  ``options`` carries the whole engine
     knob surface as one :class:`repro.core.options.EngineOptions` record
-    (mutually exclusive with the loose engine kwargs — conflicts raise).
+    (mutually exclusive with the loose engine kwargs — conflicts raise,
+    as does any engine knob set next to a prebuilt ``engine``).
 
     Returns one :class:`ClusterResult` per entry of ``seeds``, in order.
     """
@@ -260,13 +261,13 @@ def cluster_many(
     batch = resolve_engine(
         graph,
         engine,
+        options,
         workers=workers,
         parallel=parallel,
         cache=cache,
         start_method=start_method,
         schedule=schedule,
         kernel=kernel,
-        options=options,
     )
     if not batch.include_vectors:
         raise ValueError(

@@ -76,7 +76,7 @@ def ncp_profile(
     alphas: Sequence[float] = (0.1, 0.01),
     eps_values: Sequence[float] = (1e-4, 1e-5),
     max_size: int | None = None,
-    parallel: bool = True,
+    parallel: bool | None = None,
     rng: np.random.Generator | int = 0,
     seeds: Iterable[int] | None = None,
     engine: "Any | str | None" = None,
@@ -102,7 +102,10 @@ def ncp_profile(
     the pool; mixed-eps grids are exactly the workload cost scheduling
     de-straggles, since PR-Nibble work scales as O(1/(eps*alpha)).
     A prebuilt :class:`repro.engine.BatchEngine` is accepted via
-    ``engine`` for callers issuing many profiles against one graph.
+    ``engine`` for callers issuing many profiles against one graph; it
+    keeps its own configuration, so no engine knob may be set next to it.
+    An engine built here skips the diffusion vectors (the profile needs
+    only the sweeps); ``parallel`` defaults to the engine default (on).
     The pointwise-minimum reduction is order- and partition-independent,
     so results are bit-identical at every worker count.
 
@@ -116,7 +119,7 @@ def ncp_profile(
     bit-identical across kernels the profile — and any cache entries it
     writes or replays — is unchanged, only faster.
     """
-    from ..engine import NCPReducer, job_grid, resolve_engine
+    from ..engine import BatchEngine, NCPReducer, job_grid, resolve_engine
 
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     if seeds is None:
@@ -132,7 +135,7 @@ def ncp_profile(
         engine,
         workers=workers,
         parallel=parallel,
-        include_vectors=False,
+        include_vectors=None if isinstance(engine, BatchEngine) else False,
         cache=cache,
         start_method=start_method,
         schedule=schedule,

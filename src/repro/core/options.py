@@ -16,13 +16,10 @@ halves of the surface into frozen records with **one validation path**:
   and :meth:`ClusterRequest.validate` applies the full semantic checks —
   every failure a :class:`RequestError` naming the offending field.
 * :class:`EngineOptions` — *how to execute*: backend, workers,
-  start-method, schedule, kernel, cache, shard layout.  Accepted as
-  ``options=`` by :class:`repro.engine.BatchEngine`,
-  :func:`repro.engine.resolve_engine`,
-  :class:`repro.serve.DiffusionService` and
-  :func:`repro.core.cluster_many`; combining it with the historical
-  loose kwargs raises (the PR-4 no-silently-ignored-knob rule), and the
-  loose kwargs themselves keep working as thin shims over this record.
+  start-method, schedule, kernel, cache, shard layout.  Every engine
+  entry point turns its loose keyword knobs (or its ``options=`` record)
+  into one of these with :meth:`EngineOptions.coerce`; combining both
+  spellings raises (the no-silently-ignored-knob rule).
 
 :func:`canonical_params` — defaults filled from the method's parameter
 dataclass, numerics normalised, sorted — is shared with the result cache
@@ -46,8 +43,8 @@ True
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, Iterator, Mapping, Sequence
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Mapping, Sequence
 
 __all__ = [
     "PRIORITIES",
@@ -67,8 +64,8 @@ PRIORITIES = ("interactive", "bulk")
 #: :meth:`ClusterRequest.to_wire` / :meth:`ClusterRequest.from_wire`.
 WIRE_VERSION = 1
 
-#: engine backends constructible by name (instances pass around the
-#: options layer entirely — see :class:`repro.engine.BatchEngine`).
+#: engine backends constructible by name (``EngineOptions.backend`` also
+#: takes a prebuilt backend instance).
 BACKENDS = ("serial", "process", "sharded")
 
 
@@ -463,42 +460,104 @@ class ClusterRequest:
         )
 
 
-# Loose-kwarg names accepted by the engine entry points, in their
-# historical order — shared by the conflict messages below.
-_ENGINE_KNOBS = (
-    "backend",
-    "workers",
-    "parallel",
-    "include_vectors",
-    "cache",
-    "start_method",
-    "schedule",
-    "shards",
-    "max_resident_shards",
-    "spill_shards",
-    "halo_bytes",
-    "kernel",
-    "graph_version",
-)
+#: knobs that configure the in-process sharded backend.
+_SHARD_KNOBS = ("shards", "max_resident_shards", "spill_shards", "halo_bytes")
 
 
 @dataclass(frozen=True)
 class EngineOptions:
-    """The full execution-knob surface as one frozen, validated record.
+    """The engine's whole configuration as one frozen, validated record.
 
-    Every field keeps the meaning documented on
-    :class:`repro.engine.BatchEngine`; ``None`` means "engine default".
-    Pass an instance as ``options=`` to ``BatchEngine``,
-    ``resolve_engine``, ``DiffusionService``, ``cluster_many`` or build
-    one from CLI flags — combining it with the loose kwargs it replaces
-    raises ``ValueError`` instead of silently preferring one spelling.
+    This docstring is the one per-knob reference.  Every engine entry
+    point — :class:`repro.engine.BatchEngine`,
+    :func:`repro.engine.resolve_engine`,
+    :class:`repro.serve.DiffusionService`, :func:`repro.core.cluster_many`,
+    :func:`repro.core.ncp_profile` and the CLI — turns its knobs into one
+    of these with a single :meth:`coerce` call, and :meth:`validate` is the
+    only structural check.  ``None`` means "engine default".
 
-    ``backend`` is a backend *name* (one of ``"serial"``, ``"process"``,
-    ``"sharded"``); prebuilt backend instances stay on the historical
-    ``BatchEngine(backend=instance)`` path, outside this record.
+    Fields
+    ------
+    backend:
+        ``"serial"``, ``"process"``, ``"sharded"``, a prebuilt backend
+        instance, or ``None`` to pick ``"sharded"`` when ``shards`` is
+        set, ``"process"`` when ``workers`` asks for more than one worker,
+        and ``"serial"`` otherwise.  A prebuilt instance already carries
+        its own pool and shard configuration, so setting ``workers``,
+        ``start_method``, ``schedule`` or a shard knob next to it raises.
+    workers:
+        Worker count for the process backend (default: all cores).
+    parallel:
+        Use the intra-query parallel implementations inside each job
+        (``False`` selects the sequential references).
+    include_vectors:
+        Retain each job's diffusion vector on its outcome.  Disable for
+        pure profile/statistics batches (e.g. NCP) to keep inter-process
+        traffic and reducer memory proportional to the sweep alone.
+    cache:
+        Memoise job outcomes keyed by (graph fingerprint, method,
+        canonical params, seed set): ``True`` for a fresh in-memory
+        :class:`repro.cache.ResultCache`, a directory path for a
+        disk-backed one, or a ready ``ResultCache`` (shared across
+        engines).  Only cache misses are dispatched to the backend;
+        outcomes still stream back in job order.  ``False`` equals
+        ``None``: no cache.
+    start_method:
+        ``multiprocessing`` start method of the process backend's pool
+        (``"fork"``, ``"spawn"``, ``"forkserver"``).  Any of them fans out
+        for real — non-fork methods attach the graph through shared
+        memory.  Default: ``$REPRO_START_METHOD``, else ``fork`` where
+        available.
+    schedule:
+        Dispatch policy of the process backend's pool: ``"cost"``
+        (default; cost-ordered steal units, heaviest first) or ``"fifo"``
+        (contiguous count-based chunks).
+    shards:
+        Partition the graph into this many contiguous vertex-range shards
+        and execute through the shard-routed backend
+        (:class:`repro.engine.router.ShardRouter`): each job runs on a
+        lazy view over the shard(s) owning its seeds, so the whole CSR
+        need not be resident.  Implies ``backend="sharded"``.
+    max_resident_shards:
+        With ``shards``: cap on shards mapped at once per executing view
+        (LRU detach beyond it) — the resident-graph-memory bound.
+    spill_shards:
+        With ``shards``: distinct-shards-per-job threshold beyond which a
+        diffusion falls back to whole-graph execution (results are
+        bit-identical either way).
+    halo_bytes:
+        With ``shards``: byte budget of each view's halo cache (hot
+        boundary-vertex adjacency rows served without attaching the
+        neighbour shard).  ``None`` keeps the default budget, ``0``
+        disables the cache.
+    kernel:
+        Default loop implementation for jobs that do not carry their own
+        ``DiffusionJob.kernel`` (:mod:`repro.kernels`): ``None`` (keep the
+        jobs' setting, ultimately ``"python"``), ``"python"``, ``"c"`` or
+        ``"auto"``.  Outcomes are bit-identical across kernels, and the
+        kernel is excluded from cache keys.
+    graph_version:
+        Which version of an :class:`~repro.graph.evolving.EvolvingGraph`
+        to execute against.  An integer **pins** the engine to that
+        version forever; ``None`` **tracks** the chain: every dispatch
+        after the chain advances raises a :class:`RequestError` (code
+        409) instead of answering against stale edges.
+
+    The sharded backend is in-process, so pool knobs next to it raise;
+    shard knobs need the sharded backend; ``start_method`` and
+    ``schedule`` need the process backend.  Each conflict raises
+    ``ValueError`` rather than silently dropping a knob.
+
+    >>> EngineOptions.coerce(workers=4, schedule="fifo").resolved_backend()
+    'process'
+    >>> try:
+    ...     EngineOptions.coerce(start_method="spawn")
+    ... except ValueError as error:
+    ...     print(error)
+    start_method configures the worker pool; pass workers > 1
     """
 
-    backend: str | None = None
+    backend: Any = None
     workers: int | None = None
     parallel: bool = True
     include_vectors: bool = True
@@ -512,10 +571,29 @@ class EngineOptions:
     kernel: str | None = None
     graph_version: int | None = None
 
-    def resolved_backend(self) -> str:
-        """The backend name after the historical inference: ``"sharded"``
-        when ``shards`` is set, ``"process"`` when ``workers`` asks for
-        more than one worker, ``"serial"`` otherwise."""
+    @classmethod
+    def coerce(
+        cls, options: "EngineOptions | None" = None, **knobs: Any
+    ) -> "EngineOptions":
+        """One validated record from an entry point's ``options=`` and knobs.
+
+        ``knobs`` are the loose keyword spellings of the fields; one left
+        at ``None`` is unset.  Setting any of them next to ``options``
+        raises ``ValueError`` instead of silently preferring one spelling.
+        """
+        given = _given(knobs)
+        if options is None:
+            return cls(**given).validate()
+        if given:
+            raise ValueError(
+                f"options= already carries the engine configuration; "
+                f"{', '.join(given)} would be silently ignored — set "
+                "them on EngineOptions instead"
+            )
+        return options.validate()
+
+    def resolved_backend(self) -> Any:
+        """The backend after the inference described under ``backend``."""
         if self.backend is not None:
             return self.backend
         if self.shards is not None:
@@ -531,31 +609,48 @@ class EngineOptions:
     def validate(self) -> "EngineOptions":
         """The one structural validation path for the knob surface.
 
-        Raises ``ValueError`` (with the messages the engine always used)
-        on unknown backends, shard knobs without the sharded backend,
-        pool knobs with the in-process sharded backend, unknown schedule
-        or start-method names, and unknown/unavailable kernels.
+        Raises ``ValueError`` on unknown backends, knobs next to a prebuilt
+        backend, shard knobs without the sharded backend, pool knobs
+        without the process backend, unknown schedule names, and
+        unknown/unavailable kernels.  Returns ``self``.
         """
+        from ..engine.executor import PoolBackend
+
         backend = self.resolved_backend()
-        if backend not in BACKENDS:
+        if isinstance(backend, PoolBackend):
+            built = self._set_knobs(("workers", "start_method", "schedule", *_SHARD_KNOBS))
+            if built:
+                raise ValueError(
+                    f"backend is already constructed; {', '.join(built)} "
+                    "would be silently ignored — configure them on the "
+                    "backend instance (or pass the backend by name)"
+                )
+        elif backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; expected 'serial', 'process', "
                 "'sharded' or a backend instance"
             )
-        shard_knobs = self._set_knobs(
-            ("shards", "max_resident_shards", "spill_shards", "halo_bytes")
-        )
+        shard_knobs = self._set_knobs(_SHARD_KNOBS)
         if backend in ("serial", "process") and shard_knobs:
+            verb = "requires" if len(shard_knobs) == 1 else "require"
             raise ValueError(
-                f"{', '.join(shard_knobs)} only apply to the sharded backend "
-                f"(pass shards= or backend='sharded'), not backend={backend!r}"
+                f"{', '.join(shard_knobs)} {verb} shards: shard knobs only apply "
+                f"to the sharded backend, not backend={backend!r}"
             )
         if backend == "sharded":
             conflicts = self._set_knobs(("workers", "start_method", "schedule"))
             if conflicts:
                 raise ValueError(
-                    f"the sharded backend is in-process; {', '.join(conflicts)} "
-                    "would configure a process pool and be silently ignored"
+                    "the sharded backend is in-process; it is incompatible with "
+                    f"{', '.join(conflicts)}, which would configure a process "
+                    "pool and be silently ignored"
+                )
+        if backend == "serial":
+            pool_knobs = self._set_knobs(("start_method", "schedule"))
+            if pool_knobs:
+                verb = "configures" if len(pool_knobs) == 1 else "configure"
+                raise ValueError(
+                    f"{', '.join(pool_knobs)} {verb} the worker pool; pass workers > 1"
                 )
         if self.schedule is not None:
             from ..engine.scheduler import SCHEDULES
@@ -571,78 +666,22 @@ class EngineOptions:
         _check_graph_version(self.graph_version)
         return self
 
-    def reject_loose(self, context: str, **loose: Any) -> None:
-        """Enforce the no-silently-ignored-knob rule against ``options=``.
 
-        ``loose`` holds the caller's historical kwargs; any that is set
-        (not ``None`` — the universal "engine default" sentinel) alongside
-        an options record raises, naming the offenders — mirroring how
-        prebuilt engines reject stray pool knobs.
-        """
-        set_knobs = [name for name, value in loose.items() if value is not None]
-        if set_knobs:
-            raise ValueError(
-                f"options= already carries the {context} configuration; "
-                f"{', '.join(set_knobs)} would be silently ignored — set "
-                "them on EngineOptions instead"
-            )
+_FIELDS = frozenset(item.name for item in fields(EngineOptions))
 
-    def replace(self, **changes: Any) -> "EngineOptions":
-        """A copy with ``changes`` applied (frozen-dataclass convenience)."""
-        return replace(self, **changes)
 
-    def describe(self) -> str:
-        """Compact ``knob=value`` rendering of the non-default fields."""
-        parts = [f"backend={self.resolved_backend()}"]
-        for item in fields(self):
-            value = getattr(self, item.name)
-            if item.name != "backend" and value != item.default:
-                parts.append(f"{item.name}={value!r}")
-        return " ".join(parts)
+def _given(knobs: Mapping[str, Any]) -> dict[str, Any]:
+    """The engine knobs a caller actually set, by name.
 
-    def _wire_items(self) -> Iterator[tuple[str, Any]]:
-        for item in fields(self):
-            value = getattr(self, item.name)
-            if value != item.default:
-                yield item.name, value
-
-    def to_wire(self) -> dict[str, Any]:
-        """Non-default knobs as a versioned, JSON-compatible dict.
-
-        ``cache`` must be wire-representable (``None``, a bool, or a
-        directory path) — live :class:`~repro.cache.ResultCache` objects
-        cannot cross a wire and raise here.
-        """
-        payload: dict[str, Any] = {"v": WIRE_VERSION}
-        for name, value in self._wire_items():
-            if name == "cache" and not isinstance(value, (bool, str)):
-                raise RequestError(
-                    "cache",
-                    "only cache=True/False or a directory path can be "
-                    "serialized; pass a ResultCache instance in-process only",
-                )
-            payload[name] = value
-        return payload
-
-    @classmethod
-    def from_wire(cls, payload: Any) -> "EngineOptions":
-        """Parse a wire options dict (strict: unknown fields rejected)."""
-        if not isinstance(payload, Mapping):
-            raise RequestError(None, "options must be a JSON object")
-        version = payload.get("v", WIRE_VERSION)
-        if version != WIRE_VERSION:
-            raise RequestError(
-                "v", f"unsupported wire version {version!r}; this build speaks v1"
-            )
-        known = set(_ENGINE_KNOBS)
-        values: dict[str, Any] = {}
-        for name, value in payload.items():
-            if name == "v":
-                continue
-            if name not in known:
-                raise RequestError(
-                    str(name),
-                    f"unknown engine option {name!r}; choose from {sorted(known)}",
-                )
-            values[name] = value
-        return cls(**values).validate()
+    ``None`` is the universal "engine default", and ``cache=False`` means
+    the same as no cache.  An unknown name raises ``TypeError``, exactly
+    like an unexpected keyword argument.
+    """
+    unknown = sorted(set(knobs) - _FIELDS)
+    if unknown:
+        raise TypeError(f"unexpected engine option(s): {', '.join(unknown)}")
+    return {
+        name: value
+        for name, value in knobs.items()
+        if value is not None and not (name == "cache" and value is False)
+    }

@@ -34,12 +34,10 @@ from .executor import (
     DispatchStats,
     ExecutionSession,
     JobOutcome,
-    KernelSession,
     PoolBackend,
     PoolSession,
     ProcessPoolBackend,
     SerialBackend,
-    VersionGuardSession,
     WorkerStats,
     resolve_engine,
     run_job,
@@ -71,12 +69,10 @@ __all__ = [
     "BatchEngine",
     "ExecutionSession",
     "JobOutcome",
-    "KernelSession",
     "PoolBackend",
     "PoolSession",
     "ProcessPoolBackend",
     "SerialBackend",
-    "VersionGuardSession",
     "resolve_engine",
     "run_job",
     "DiffusionJob",

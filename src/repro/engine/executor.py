@@ -35,15 +35,17 @@ environment.  For the process backend that environment is a
 :class:`PoolSession` — one long-lived worker pool plus one shared-memory
 graph export reused across every batch, which is what lets the serving
 plane (:mod:`repro.serve`) multiplex many clients onto one pool instead of
-paying pool start-up per call.  ``stream()`` remains the one-shot
-convenience: it opens a session, runs the single batch, and closes the
+paying pool start-up per call.  :meth:`PoolBackend.stream` is the one
+one-shot path: it opens a session, runs the single batch, and closes the
 session deterministically — including when the caller abandons the
-iterator via ``close()``.
+iterator via ``close()``.  Every session applies the engine's default
+kernel and, for an engine tracking an evolving graph, its freshness check
+in :meth:`ExecutionSession.run` itself.
 
 A third backend, :class:`repro.cache.CachingBackend`, wraps either of the
 above so that only cache misses are dispatched; construct engines with
-``cache=`` to enable it.  It participates in the session protocol too
-(its sessions replay hits and send misses to the inner session).
+``cache=`` to enable it.  Its sessions replay hits and send misses to an
+inner session, opened with the first miss.
 
 Workers return compact, picklable :class:`JobOutcome` records (sweep
 profile + counters + optionally the diffusion vector as two arrays) rather
@@ -80,7 +82,7 @@ from .scheduler import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cache import CachingBackend, ResultCache
+    from ..cache import ResultCache
     from ..core.options import EngineOptions
     from ..graph.evolving import EvolvingGraph, GraphVersion
     from ..graph.shared import SharedCSR
@@ -89,8 +91,6 @@ __all__ = [
     "JobOutcome",
     "run_job",
     "ExecutionSession",
-    "KernelSession",
-    "VersionGuardSession",
     "PoolSession",
     "PoolBackend",
     "SerialBackend",
@@ -118,8 +118,8 @@ class JobOutcome:
     ``(keys, values)`` arrays.  ``cached`` marks outcomes replayed from
     the result cache (their counters describe the *original* execution;
     no diffusion work was performed for this job).  ``warmup_seconds``
-    is one-time kernel preparation (a JIT compile or a C build) paid
-    before this job's clock started; it is *excluded* from
+    is one-time kernel preparation (a C build) paid before this job's
+    clock started; it is *excluded* from
     ``wall_seconds`` so throughput numbers measure steady state, and
     reported separately (mirroring the cache-hit exclusion rule).
     """
@@ -216,8 +216,8 @@ def run_job(
     params_cls, runner, takes_rng = ALGORITHMS[job.method]
     params = params_cls(**job.params)
     seeds = np.asarray(job.seeds, dtype=np.int64)
-    # Resolve the kernel and pay any one-time preparation (JIT compile /
-    # C build) *before* starting the clock: wall_seconds measures steady
+    # Resolve the kernel and pay any one-time preparation (a C build)
+    # *before* starting the clock: wall_seconds measures steady
     # state; the warm-up is reported separately on the outcome.
     kernel = resolve_kernel(job.kernel)
     warmup = ensure_warm(kernel)
@@ -397,8 +397,16 @@ class ExecutionSession:
     one batch of outcomes in job order against the same prepared
     environment.  The base implementation has nothing to prepare — it is
     the in-process loop, so :class:`SerialBackend` sessions are just that
-    loop with a close guard.  :class:`PoolSession` overrides ``_run`` to
-    dispatch through a persistent worker pool.
+    loop with a close guard.  :class:`PoolSession` and
+    :class:`~repro.engine.router.RouterSession` override ``_run``;
+    :class:`~repro.cache.CachingSession` overrides ``_dispatch`` so that
+    only misses are dispatched.
+
+    ``run`` stamps the opening engine's default kernel onto jobs that
+    carry none, and in a session opened by a :class:`BatchEngine` that
+    tracks an evolving graph refuses every batch once the chain has
+    advanced past the version the session was opened on.  ``batches``
+    counts the batches dispatched for execution.
 
     Batches are strictly sequential: drain (or close) one ``run`` iterator
     before starting the next.  Sessions are context managers; ``close()``
@@ -416,6 +424,8 @@ class ExecutionSession:
         self.graph = graph
         self.parallel = parallel
         self.include_vectors = include_vectors
+        self._kernel: str | None = None
+        self._tracking: "BatchEngine | None" = None
         self.batches = 0
         self._closed = False
 
@@ -427,14 +437,29 @@ class ExecutionSession:
         """Stream one batch of outcomes, in job order (lazy)."""
         if self._closed:
             raise RuntimeError("session is closed")
-        jobs = list(jobs)
+        if self._tracking is not None:
+            self._tracking._check_fresh(self)
+        kernel = self._kernel
+        return self._dispatch(
+            [
+                job if kernel is None or job.kernel is not None else replace(job, kernel=kernel)
+                for job in jobs
+            ]
+        )
+
+    def _dispatch(self, jobs: Sequence[DiffusionJob]) -> Iterator[JobOutcome]:
         self.batches += 1
         return self._run(jobs)
 
     def _run(self, jobs: Sequence[DiffusionJob]) -> Iterator[JobOutcome]:
-        return self.backend._run_inline(
-            self.graph, jobs, self.parallel, self.include_vectors
-        )
+        for index, job in enumerate(jobs):
+            yield run_job(
+                self.graph,
+                job,
+                index=index,
+                parallel=self.parallel,
+                include_vector=self.include_vectors,
+            )
 
     def close(self) -> None:
         self._closed = True
@@ -539,14 +564,13 @@ class PoolSession(ExecutionSession):
 
 
 class PoolBackend:
-    """Base of the execution backends: the shared in-process job loop.
+    """Base of the execution backends: sessions plus the one-shot stream.
 
-    Subclasses override :meth:`stream` and :meth:`open_session`; the base
-    implementation — one job after another in the calling process,
-    outcomes in job order — is both :class:`SerialBackend`'s whole
-    behaviour and the single place any in-process execution lives (the
-    process backend used to duplicate this loop as its non-fork fallback;
-    that path no longer exists).
+    Subclasses override :meth:`open_session`; the base session — one job
+    after another in the calling process, outcomes in job order — is both
+    :class:`SerialBackend`'s whole behaviour and the single place any
+    in-process execution lives.  :meth:`stream` is the only
+    open→run→close path, shared by every backend.
     """
 
     #: per-job costs reach the caller's tracker via nested track() when
@@ -566,23 +590,27 @@ class PoolBackend:
     def stream(
         self,
         graph: CSRGraph,
-        jobs: Sequence[DiffusionJob],
+        jobs: Iterable[DiffusionJob],
         parallel: bool,
         include_vectors: bool,
+        kernel: str | None = None,
     ) -> Iterator[JobOutcome]:
-        return self._run_inline(graph, jobs, parallel, include_vectors)
+        """Run one batch through a session opened and closed for it.
 
-    def _run_inline(
-        self,
-        graph: CSRGraph,
-        jobs: Sequence[DiffusionJob],
-        parallel: bool,
-        include_vectors: bool,
-    ) -> Iterator[JobOutcome]:
-        for index, job in enumerate(jobs):
-            yield run_job(
-                graph, job, index=index, parallel=parallel, include_vector=include_vectors
-            )
+        An empty batch opens nothing.  Teardown is deterministic even for
+        an abandoned iterator: closing the generator raises GeneratorExit
+        at the yield, and the ``finally`` closes the session (terminating
+        a pool, unlinking shared-memory exports).
+        """
+        jobs = list(jobs)
+        if not jobs:
+            return
+        session = self.open_session(graph, parallel, include_vectors)
+        session._kernel = kernel
+        try:
+            yield from session.run(jobs)
+        finally:
+            session.close()
 
 
 class SerialBackend(PoolBackend):
@@ -686,107 +714,6 @@ class ProcessPoolBackend(PoolBackend):
         """Start the pool and export the graph once; see :class:`PoolSession`."""
         return PoolSession(self, graph, parallel, include_vectors)
 
-    def stream(
-        self,
-        graph: CSRGraph,
-        jobs: Sequence[DiffusionJob],
-        parallel: bool,
-        include_vectors: bool,
-    ) -> Iterator[JobOutcome]:
-        jobs = list(jobs)
-        if not jobs:
-            return
-        # One-shot use of the session protocol.  The try/finally makes
-        # teardown deterministic even for an abandoned iterator: closing
-        # the generator raises GeneratorExit at the yield, and the session
-        # close terminates + joins the pool and unlinks the graph export.
-        session = self.open_session(graph, parallel, include_vectors)
-        try:
-            yield from session.run(jobs)
-        finally:
-            session.close()
-
-
-class KernelSession:
-    """A thin session wrapper applying an engine's default kernel.
-
-    Delegates everything to the inner session; only ``run`` intervenes,
-    stamping the engine-level ``kernel=`` onto jobs that do not carry
-    their own.  Kept separate from :class:`ExecutionSession` so backend
-    session classes (pool, router, caching) need no kernel awareness —
-    ``job.kernel`` is the single source of truth crossing process
-    boundaries.
-    """
-
-    def __init__(self, session: ExecutionSession, kernel: str) -> None:
-        self._session = session
-        self._kernel = kernel
-
-    def run(self, jobs: Iterable[DiffusionJob]) -> Iterator[JobOutcome]:
-        return self._session.run(_apply_kernel(jobs, self._kernel))
-
-    def close(self) -> None:
-        self._session.close()
-
-    def __enter__(self) -> "KernelSession":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._session, name)
-
-
-class VersionGuardSession:
-    """Refuse batches once a *tracking* engine's evolving graph advances.
-
-    Sessions pin real resources to one edge set — a shared-memory export,
-    a sharded partition (:class:`~repro.engine.router.RouterSession`) —
-    so after ``apply_updates`` a session opened by a tracking engine would
-    silently keep answering against the superseded version.  This wrapper
-    re-checks freshness at every ``run``; pinned engines
-    (``graph_version=<int>``) never carry it, since answering against the
-    pinned version is exactly what they promise.
-    """
-
-    def __init__(self, session: ExecutionSession, engine: "BatchEngine") -> None:
-        self._session = session
-        self._engine = engine
-
-    def run(self, jobs: Iterable[DiffusionJob]) -> Iterator[JobOutcome]:
-        sharded = getattr(self._session, "sharded", None)
-        self._engine._check_fresh(
-            handle_fingerprint=(
-                sharded.handle().fingerprint if sharded is not None else None
-            )
-        )
-        return self._session.run(jobs)
-
-    def close(self) -> None:
-        self._session.close()
-
-    def __enter__(self) -> "VersionGuardSession":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._session, name)
-
-
-def _apply_kernel(
-    jobs: Iterable[DiffusionJob], kernel: str | None
-) -> list[DiffusionJob]:
-    """Stamp the engine default kernel onto jobs that carry none."""
-    jobs = list(jobs)
-    if kernel is None:
-        return jobs
-    return [
-        job if job.kernel is not None else replace(job, kernel=kernel) for job in jobs
-    ]
-
 
 class BatchEngine:
     """Front door of the batch subsystem: jobs in, reduced results out.
@@ -796,91 +723,27 @@ class BatchEngine:
     graph:
         The (read-only) graph every job runs against — a plain
         :class:`~repro.graph.csr.CSRGraph`, or an
-        :class:`~repro.graph.evolving.EvolvingGraph` version chain (see
-        ``graph_version`` below for which version is executed).
+        :class:`~repro.graph.evolving.EvolvingGraph` version chain (the
+        ``graph_version`` knob selects which version is executed).
     backend:
-        ``"serial"``, ``"process"``, ``"sharded"``, a backend instance,
-        or ``None`` to pick ``"sharded"`` when ``shards`` is given,
-        ``"process"`` when ``workers`` asks for more than one worker,
-        and ``"serial"`` otherwise.  Passing a backend *instance* together
-        with ``workers``, ``start_method`` or ``schedule`` raises
-        ``ValueError`` — those knobs configure a backend built by name and
-        would otherwise be silently ignored.
-    workers:
-        Worker count for the process backend (default: all cores).  Only
-        consulted when the backend is built by name.
-    parallel:
-        Use the intra-query parallel implementations inside each job
-        (``False`` selects the sequential references).
-    include_vectors:
-        Retain each job's diffusion vector on its outcome.  Disable for
-        pure profile/statistics batches (e.g. NCP) to keep inter-process
-        traffic and reducer memory proportional to the sweep alone.
-    start_method:
-        ``multiprocessing`` start method for the process backend
-        (``"fork"``, ``"spawn"``, ``"forkserver"``).  Any of them fans
-        out for real — non-fork methods attach the graph through shared
-        memory.  Default: ``$REPRO_START_METHOD``, else ``fork`` where
-        available.  Only consulted when the backend is built by name.
-    schedule:
-        Chunking policy for the process backend: ``"cost"`` (default,
-        cost-balanced longest-first chunks) or ``"fifo"`` (contiguous
-        count-based chunks).  Only consulted when the backend is built by
-        name.
-    shards:
-        Partition the graph into this many contiguous vertex-range shards
-        and execute through the shard-routed backend
-        (:class:`repro.engine.router.ShardRouter`): each job runs on a
-        lazy view over the shard(s) owning its seeds, so the whole CSR
-        need not be resident.  Implies ``backend="sharded"``; incompatible
-        with ``workers``/``start_method``/``schedule`` (the router is
-        in-process in this release).
-    max_resident_shards:
-        With ``shards``: cap on shards mapped at once per executing view
-        (LRU detach beyond it) — the resident-graph-memory bound.
-    spill_shards:
-        With ``shards``: distinct-shards-per-job threshold beyond which a
-        diffusion falls back to whole-graph execution (results are
-        bit-identical either way).
-    halo_bytes:
-        With ``shards``: byte budget of each view's halo cache (hot
-        boundary-vertex adjacency rows served without attaching the
-        neighbour shard).  ``None`` keeps the default budget, ``0``
-        disables the cache.
-    cache:
-        Memoise job outcomes keyed by (graph fingerprint, method,
-        canonical params, seed set): ``True`` for a fresh in-memory
-        :class:`repro.cache.ResultCache`, a directory path for a
-        disk-backed one, or a ready ``ResultCache`` (shared across
-        engines).  Only cache misses are dispatched to the backend;
-        outcomes still stream back in job order.
-    kernel:
-        Default loop implementation for jobs that do not carry their own
-        ``DiffusionJob.kernel`` (:mod:`repro.kernels`): ``None`` (keep
-        the jobs' setting, ultimately ``"python"``), ``"python"``,
-        ``"numba"``, ``"c"``, or ``"auto"``.  Validated here so an
-        unavailable explicit request fails at construction, not in a
-        worker.  Outcomes are bit-identical across kernels, and the
-        kernel is excluded from cache keys.
-    graph_version:
-        Which version of an :class:`~repro.graph.evolving.EvolvingGraph`
-        to execute against (requires ``graph`` to be one).  An integer
-        **pins** the engine: it answers against that exact version
-        forever, even after the chain advances — correct by construction,
-        since cache keys embed the version's fingerprint.  ``None``
-        (default) **tracks**: the engine binds to the latest version at
-        construction and every subsequent dispatch re-checks the chain —
-        if it has advanced, the dispatch raises a
-        :class:`~repro.core.options.RequestError` (code 409) naming both
-        versions instead of silently answering against stale edges.
-        Recover with :meth:`at_version` (shares this engine's backend and
-        cache).
+        A backend name, a prebuilt backend instance, or ``None`` to infer
+        one (see :class:`repro.core.options.EngineOptions`).
     options:
-        The same knob surface as one frozen, pre-validated record
-        (:class:`repro.core.options.EngineOptions`) — the canonical
-        spelling shared with the CLI and the wire schema.  Passing
-        ``options=`` together with any of the loose kwargs above raises
-        ``ValueError`` (they would be silently ignored otherwise).
+        The whole configuration as one
+        :class:`~repro.core.options.EngineOptions` record.
+    **knobs:
+        The same configuration as loose keywords — ``workers``,
+        ``parallel``, ``include_vectors``, ``cache``, ``start_method``,
+        ``schedule``, the shard knobs, ``kernel``, ``graph_version``.
+        :class:`~repro.core.options.EngineOptions` documents each one.
+        Setting any of them next to ``options`` raises ``ValueError``.
+
+    A tracking engine (``graph_version=None`` on an evolving graph) binds
+    to the latest version at construction; once the chain advances, every
+    dispatch raises a :class:`~repro.core.options.RequestError` (code
+    409) naming both versions instead of silently answering against stale
+    edges.  Recover with :meth:`at_version` (shares this engine's backend
+    and cache).
 
     >>> from repro.graph import barbell_graph
     >>> from repro.engine import BatchEngine, DiffusionJob
@@ -892,62 +755,24 @@ class BatchEngine:
     def __init__(
         self,
         graph: "CSRGraph | EvolvingGraph",
-        backend: "str | PoolBackend | CachingBackend | None" = None,
-        workers: int | None = None,
-        parallel: bool | None = None,
-        include_vectors: bool | None = None,
-        cache: "ResultCache | bool | str | None" = None,
-        start_method: str | None = None,
-        schedule: str | None = None,
-        shards: int | None = None,
-        max_resident_shards: int | None = None,
-        spill_shards: int | None = None,
-        halo_bytes: int | None = None,
-        kernel: str | None = None,
-        graph_version: int | None = None,
+        backend: "str | PoolBackend | None" = None,
         options: "EngineOptions | None" = None,
+        **knobs: Any,
     ) -> None:
         from ..cache import CachingBackend, resolve_cache
+        from ..core.options import EngineOptions
         from ..graph.evolving import EvolvingGraph
 
-        if options is not None:
-            options.reject_loose(
-                "engine",
-                backend=backend,
-                workers=workers,
-                parallel=parallel,
-                include_vectors=include_vectors,
-                cache=cache,
-                start_method=start_method,
-                schedule=schedule,
-                shards=shards,
-                max_resident_shards=max_resident_shards,
-                spill_shards=spill_shards,
-                halo_bytes=halo_bytes,
-                kernel=kernel,
-                graph_version=graph_version,
-            )
-            options.validate()
-            backend = options.backend
-            workers = options.workers
-            parallel = options.parallel
-            include_vectors = options.include_vectors
-            cache = options.cache
-            start_method = options.start_method
-            schedule = options.schedule
-            shards = options.shards
-            max_resident_shards = options.max_resident_shards
-            spill_shards = options.spill_shards
-            halo_bytes = options.halo_bytes
-            kernel = options.kernel
-            graph_version = options.graph_version
+        options = EngineOptions.coerce(options, backend=backend, **knobs)
         if isinstance(graph, EvolvingGraph):
             self.evolving: "EvolvingGraph | None" = graph
-            self.graph_version = None if graph_version is None else int(graph_version)
+            self.graph_version = (
+                None if options.graph_version is None else int(options.graph_version)
+            )
             self.version: "GraphVersion | None" = graph.at(self.graph_version)
             self.graph = self.version.graph
         else:
-            if graph_version is not None:
+            if options.graph_version is not None:
                 raise ValueError(
                     "graph_version= selects a version of an EvolvingGraph; "
                     "this engine was given a plain CSRGraph"
@@ -956,92 +781,32 @@ class BatchEngine:
             self.graph_version = None
             self.version = None
             self.graph = graph
-        # None is the "engine default" sentinel (it lets the options path
-        # detect explicitly-set loose kwargs); the defaults stay True.
-        self.parallel = True if parallel is None else parallel
-        self.include_vectors = True if include_vectors is None else include_vectors
-        if kernel is not None:
-            resolve_kernel(kernel)  # fail fast on unknown/unavailable kernels
-        self.kernel = kernel
-        if backend is None:
-            if shards is not None:
-                backend = "sharded"
-            else:
-                backend = "process" if workers is not None and workers > 1 else "serial"
-        shard_knobs = [
-            name
-            for name, value in (
-                ("shards", shards),
-                ("max_resident_shards", max_resident_shards),
-                ("spill_shards", spill_shards),
-                ("halo_bytes", halo_bytes),
-            )
-            if value is not None
-        ]
-        if backend in ("serial", "process") and shard_knobs:
-            raise ValueError(
-                f"{', '.join(shard_knobs)} only apply to the sharded backend "
-                f"(pass shards= or backend='sharded'), not backend={backend!r}"
-            )
-        if backend == "sharded":
+        self.parallel = options.parallel
+        self.include_vectors = options.include_vectors
+        self.kernel = options.kernel
+        chosen = options.resolved_backend()
+        if chosen == "sharded":
             from .router import ShardRouter
 
-            conflicts = [
-                name
-                for name, value in (
-                    ("workers", workers),
-                    ("start_method", start_method),
-                    ("schedule", schedule),
-                )
-                if value is not None
-            ]
-            if conflicts:
-                raise ValueError(
-                    f"the sharded backend is in-process; {', '.join(conflicts)} "
-                    "would configure a process pool and be silently ignored"
-                )
-            self.backend: "PoolBackend | CachingBackend" = ShardRouter(
-                shards=shards if shards is not None else 4,
-                max_resident_shards=max_resident_shards,
-                spill_shards=spill_shards,
-                halo_bytes=halo_bytes,
+            self.backend: PoolBackend = ShardRouter(
+                shards=options.shards if options.shards is not None else 4,
+                max_resident_shards=options.max_resident_shards,
+                spill_shards=options.spill_shards,
+                halo_bytes=options.halo_bytes,
             )
-        elif backend == "serial":
+        elif chosen == "serial":
             self.backend = SerialBackend()
-        elif backend == "process":
+        elif chosen == "process":
             self.backend = ProcessPoolBackend(
-                workers=workers,
-                start_method=start_method,
-                schedule=schedule if schedule is not None else "cost",
+                workers=options.workers,
+                start_method=options.start_method,
+                schedule=options.schedule if options.schedule is not None else "cost",
             )
-        elif isinstance(backend, (PoolBackend, CachingBackend)):
-            conflicts = [
-                *shard_knobs,
-                *(
-                    name
-                    for name, value in (
-                        ("workers", workers),
-                        ("start_method", start_method),
-                        ("schedule", schedule),
-                    )
-                    if value is not None
-                ),
-            ]
-            if conflicts:
-                raise ValueError(
-                    f"backend is already constructed; {', '.join(conflicts)} "
-                    "would be silently ignored — configure them on the "
-                    "backend instance (or pass the backend by name)"
-                )
-            self.backend = backend
-        else:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected 'serial', 'process', "
-                "'sharded' or a backend instance"
-            )
-        resolved_cache = resolve_cache(cache)
-        if resolved_cache is not None and not isinstance(self.backend, CachingBackend):
-            self.backend = CachingBackend(self.backend, resolved_cache)
+        else:  # a prebuilt instance; validate() rejected any knob it would ignore
+            self.backend = chosen
+        cache = resolve_cache(options.cache)
+        if cache is not None and not isinstance(self.backend, CachingBackend):
+            self.backend = CachingBackend(self.backend, cache)
 
     @property
     def workers(self) -> int:
@@ -1069,7 +834,7 @@ class BatchEngine:
         backends that do not own one (serial, sharded)."""
         return getattr(self._inner_backend, "cost_model", None)
 
-    def _check_fresh(self, handle_fingerprint: str | None = None) -> None:
+    def _check_fresh(self, session: ExecutionSession | None = None) -> None:
         """Raise when a *tracking* engine's evolving graph has advanced.
 
         Pinned engines (explicit ``graph_version=``) and plain-graph
@@ -1078,8 +843,9 @@ class BatchEngine:
         ("conflict": the request was well-formed but the bound state
         moved) naming both versions — and, for sharded execution, the
         fingerprint stamped on the stale
-        :class:`~repro.graph.sharded.ShardedCSRHandle` — so callers can
-        tell *which* superseded edge set they were about to read.
+        :class:`~repro.graph.sharded.ShardedCSRHandle` of ``session`` —
+        so callers can tell *which* superseded edge set they were about to
+        read.
         """
         if self.evolving is None or self.graph_version is not None:
             return
@@ -1095,9 +861,11 @@ class BatchEngine:
             f"the chain has advanced to version {latest.version} "
             f"(fingerprint {latest.fingerprint()[:12]})"
         )
-        if handle_fingerprint is not None:
+        sharded = getattr(session, "sharded", None)
+        if sharded is not None:
             detail += (
-                f"; the sharded export's handle is stamped {handle_fingerprint[:12]}"
+                "; the sharded export's handle is stamped "
+                f"{sharded.handle().fingerprint[:12]}"
             )
         raise RequestError(
             "graph_version",
@@ -1140,26 +908,22 @@ class BatchEngine:
         This is the primitive the serving plane
         (:class:`repro.serve.DiffusionService`) multiplexes clients onto.
         Close the session (it is a context manager) to tear the pool down.
-        An engine-level ``kernel=`` default is applied by a transparent
-        :class:`KernelSession` wrapper; a tracking evolving engine adds a
-        :class:`VersionGuardSession` so a session outliving an
-        ``apply_updates`` refuses to answer against the superseded edges.
+        The session stamps this engine's ``kernel`` default onto jobs, and
+        one opened by a tracking evolving engine refuses to answer against
+        superseded edges once the chain advances.
         """
         self._check_fresh()
-        session: Any = self.backend.open_session(
-            self.graph, self.parallel, self.include_vectors
-        )
-        if self.kernel is not None:
-            session = KernelSession(session, self.kernel)
+        session = self.backend.open_session(self.graph, self.parallel, self.include_vectors)
+        session._kernel = self.kernel
         if self.evolving is not None and self.graph_version is None:
-            session = VersionGuardSession(session, self)
-        return session  # type: ignore[return-value]
+            session._tracking = self
+        return session
 
     def map(self, jobs: Iterable[DiffusionJob]) -> Iterator[JobOutcome]:
         """Stream outcomes in job order (lazy; see :meth:`run` to reduce)."""
         self._check_fresh()
         return self.backend.stream(
-            self.graph, _apply_kernel(jobs, self.kernel), self.parallel, self.include_vectors
+            self.graph, jobs, self.parallel, self.include_vectors, self.kernel
         )
 
     def run(
@@ -1200,87 +964,39 @@ class BatchEngine:
 
 def resolve_engine(
     graph: "CSRGraph | EvolvingGraph",
-    engine: BatchEngine | str | None = None,
-    workers: int | None = None,
-    parallel: bool | None = None,
-    include_vectors: bool | None = None,
-    cache: "ResultCache | bool | str | None" = None,
-    start_method: str | None = None,
-    schedule: str | None = None,
-    shards: int | None = None,
-    max_resident_shards: int | None = None,
-    spill_shards: int | None = None,
-    halo_bytes: int | None = None,
-    kernel: str | None = None,
-    graph_version: int | None = None,
+    engine: "BatchEngine | str | PoolBackend | None" = None,
     options: "EngineOptions | None" = None,
+    **knobs: Any,
 ) -> BatchEngine:
     """Normalise the ``engine=`` argument accepted by the high-level APIs.
 
-    ``engine`` may be a ready :class:`BatchEngine` (returned as-is; it
-    keeps its own backend, scheduling and cache configuration — combining
-    it with ``workers``, ``cache``, ``start_method`` or ``schedule``
-    raises ``ValueError``, since those knobs would be silently ignored),
-    a backend name, or ``None`` to infer the backend from ``workers``
-    exactly like the :class:`BatchEngine` constructor does.  A ready
-    engine must target a graph whose *content* matches ``graph``: the
-    fast path accepts the identical object, otherwise the CSR
-    fingerprints are compared, so an engine built for a content-identical
-    copy (say, the same graph reloaded from disk) is accepted rather than
-    rejected on object identity.  ``cache``, ``start_method`` and
-    ``schedule`` follow the constructor's spec, and ``options=`` carries
-    the whole knob surface as one :class:`repro.core.options.EngineOptions`
-    record (mutually exclusive with the loose kwargs *and* with a
-    prebuilt engine, for the same no-silently-ignored-knob reason).
+    ``engine`` may be a ready :class:`BatchEngine`, returned as-is: it
+    keeps its own configuration, so ``options`` or any knob set next to it
+    raises ``ValueError`` (it would be silently ignored).  A ready engine
+    must target a graph whose *content* matches ``graph``: the fast path
+    accepts the identical object, otherwise the CSR fingerprints are
+    compared, so an engine built for a content-identical copy (say, the
+    same graph reloaded from disk) is accepted.  Anything else — a backend
+    name or instance, or ``None`` — builds a :class:`BatchEngine` from
+    ``options``/``knobs`` (see :class:`repro.core.options.EngineOptions`).
     """
+    from ..core.options import _given
     from ..graph.evolving import EvolvingGraph
 
-    if isinstance(engine, BatchEngine):
-        if isinstance(graph, EvolvingGraph):
-            # Version chains are mutable containers, so identity is the
-            # only safe match — two chains with equal snapshots diverge
-            # the moment either applies an update.
-            if engine.evolving is not graph:
-                raise ValueError("engine was built for a different graph")
-        elif engine.graph is not graph and engine.graph.fingerprint() != graph.fingerprint():
+    if not isinstance(engine, BatchEngine):
+        return BatchEngine(graph, engine, options, **knobs)
+    if isinstance(graph, EvolvingGraph):
+        # Version chains are mutable containers, so identity is the only
+        # safe match — two chains with equal snapshots diverge the moment
+        # either applies an update.
+        if engine.evolving is not graph:
             raise ValueError("engine was built for a different graph")
-        ignored = [
-            name
-            for name, value in (
-                ("workers", workers),
-                ("cache", cache),
-                ("start_method", start_method),
-                ("schedule", schedule),
-                ("shards", shards),
-                ("max_resident_shards", max_resident_shards),
-                ("spill_shards", spill_shards),
-                ("halo_bytes", halo_bytes),
-                ("kernel", kernel),
-                ("graph_version", graph_version),
-                ("options", options),
-            )
-            if value is not None and value is not False
-        ]
-        if ignored:
-            raise ValueError(
-                f"engine is already constructed; {', '.join(ignored)} would "
-                "be silently ignored — configure them on the engine instead"
-            )
-        return engine
-    return BatchEngine(
-        graph,
-        backend=engine,
-        workers=workers,
-        parallel=parallel,
-        include_vectors=include_vectors,
-        cache=cache,
-        start_method=start_method,
-        schedule=schedule,
-        shards=shards,
-        max_resident_shards=max_resident_shards,
-        spill_shards=spill_shards,
-        halo_bytes=halo_bytes,
-        kernel=kernel,
-        graph_version=graph_version,
-        options=options,
-    )
+    elif engine.graph is not graph and engine.graph.fingerprint() != graph.fingerprint():
+        raise ValueError("engine was built for a different graph")
+    ignored = [*_given(knobs), *(["options"] if options is not None else [])]
+    if ignored:
+        raise ValueError(
+            f"engine is already constructed; {', '.join(ignored)} would "
+            "be silently ignored — configure them on the engine instead"
+        )
+    return engine

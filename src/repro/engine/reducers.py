@@ -122,8 +122,8 @@ class BatchStats:
     :meth:`repro.engine.BatchEngine.run` applies to the recorded
     work-depth cost.
 
-    ``warmup_seconds`` tallies one-time kernel preparation (a numba JIT
-    compile, a C build probe) separately, by the same logic: ``run_job``
+    ``warmup_seconds`` tallies one-time kernel preparation (a C build
+    probe) separately, by the same logic: ``run_job``
     starts its timer *after* :func:`repro.kernels.ensure_warm`, so
     ``job_seconds`` is a steady-state measurement and the compile cost is
     reported here instead of silently inflating the first job.

@@ -234,21 +234,3 @@ class ShardRouter(PoolBackend):
     ) -> RouterSession:
         """Partition + export the graph once; see :class:`RouterSession`."""
         return RouterSession(self, graph, parallel, include_vectors)
-
-    def stream(
-        self,
-        graph: CSRGraph,
-        jobs: Sequence[DiffusionJob],
-        parallel: bool,
-        include_vectors: bool,
-    ) -> Iterator[JobOutcome]:
-        jobs = list(jobs)
-        if not jobs:
-            return
-        # One-shot session use, teardown deterministic even for an
-        # abandoned iterator (GeneratorExit lands in the finally).
-        session = self.open_session(graph, parallel, include_vectors)
-        try:
-            yield from session.run(jobs)
-        finally:
-            session.close()

@@ -91,7 +91,7 @@ CHUNKS_PER_WORKER = 8
 #: heavily as a Python one and pack the true stragglers together.  Only
 #: the *ratio* matters for LPT packing; 0.02 is a deliberately
 #: conservative midpoint of the measured 10-100x range.
-KERNEL_COST_SCALE = {"python": 1.0, "numba": 0.02, "c": 0.02}
+KERNEL_COST_SCALE = {"python": 1.0, "c": 0.02}
 
 
 def resolved_kernel_name(kernel: str | None) -> str:
@@ -178,7 +178,7 @@ def observe_outcome(model, outcome) -> None:
     """Fold one completed :class:`JobOutcome` into a cost model.
 
     Cache hits carry no execution time and are skipped; so are jobs whose
-    parameters yield no work bound.  Warm-up (JIT compilation) seconds are
+    parameters yield no work bound.  Warm-up (C build) seconds are
     already excluded from ``wall_seconds`` by the executor.
     """
     if outcome.cached:

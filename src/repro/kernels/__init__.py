@@ -13,18 +13,13 @@ Backends
 ``"python"``
     The original object-level reference loops in :mod:`repro.core`,
     untouched.  Always available; the default (``kernel=None``).
-``"numba"``
-    JIT-compiled twins (:mod:`repro.kernels._numba`).  Requires the
-    optional ``repro[kernels]`` extra; requesting it without numba
-    installed raises :class:`KernelUnavailableError`.
 ``"c"``
     The same loops as C, compiled once with the system compiler and
     loaded via ctypes (:mod:`repro.kernels._ckernels`).  Available
     wherever ``cc``/``gcc``/``clang`` is on PATH — no new dependency.
 ``"auto"``
-    Probe once per process and pick the best available
-    (numba > c > python), degrading silently to ``"python"`` when no
-    compiled backend works.
+    Probe once per process and pick ``"c"`` when it is available,
+    degrading silently to ``"python"`` when it is not.
 
 Every kernel operates on raw CSR arrays (``offsets``/``neighbors``), so
 compiled execution composes with :class:`repro.graph.shared.SharedCSR`
@@ -78,7 +73,7 @@ __all__ = [
 
 #: every explicit value the ``kernel=`` knob accepts (``None`` means
 #: ``"python"``; ``"auto"`` resolves to the best entry of this tuple).
-KERNELS = ("python", "numba", "c")
+KERNELS = ("python", "c")
 
 
 class KernelUnavailableError(RuntimeError):
@@ -109,11 +104,7 @@ def _load(name: str) -> Any:
     if name in _ERRORS:
         raise _ERRORS[name]
     try:
-        if name == "numba":
-            from . import _numba
-
-            kernels = _numba.build()
-        elif name == "c":
+        if name == "c":
             from . import _ckernels
 
             kernels = _ckernels.build()
@@ -131,13 +122,6 @@ def _load(name: str) -> Any:
 
 
 def _unavailable_message(name: str, error: Exception) -> str:
-    if name == "numba":
-        return (
-            "kernel='numba' requires the numba package, which is not "
-            "installed; install the optional extra (pip install "
-            "'repro[kernels]') or use kernel='auto' to fall back "
-            f"gracefully [{error}]"
-        )
     return (
         "kernel='c' requires a working system C compiler (cc/gcc/clang); "
         f"none produced a loadable library here [{error}]"
@@ -147,19 +131,15 @@ def _unavailable_message(name: str, error: Exception) -> str:
 def available_kernels() -> tuple[str, ...]:
     """The kernel names that can actually run in this process (probed once).
 
-    ``"python"`` is always present; ``"numba"`` and ``"c"`` appear only
-    when their probe — an import, respectively a compile-and-load —
-    succeeds, so a broken toolchain reads as absent rather than as a
-    runtime error later.
+    ``"python"`` is always present; ``"c"`` appears only when its
+    compile-and-load probe succeeds, so a broken toolchain reads as
+    absent rather than as a runtime error later.
     """
-    names = ["python"]
-    for name in ("numba", "c"):
-        try:
-            _load(name)
-        except KernelUnavailableError:
-            continue
-        names.append(name)
-    return tuple(names)
+    try:
+        _load("c")
+    except KernelUnavailableError:
+        return ("python",)
+    return ("python", "c")
 
 
 def resolve_kernel(kernel: str | None) -> str:
@@ -167,8 +147,8 @@ def resolve_kernel(kernel: str | None) -> str:
 
     ``None`` means ``"python"`` (the default behaviour of every API is
     unchanged; compiled kernels are strictly opt-in).  ``"auto"`` probes
-    once per process and picks numba > c > python, silently using
-    ``"python"`` when no compiled backend is available.  Explicitly
+    once per process and picks ``"c"``, silently using ``"python"`` when
+    the C backend is unavailable.  Explicitly
     requesting an unavailable backend raises
     :class:`KernelUnavailableError` with the reason; an unknown name
     raises ``ValueError``.
@@ -178,15 +158,7 @@ def resolve_kernel(kernel: str | None) -> str:
         return "python"
     if kernel == "auto":
         if _AUTO is None:
-            for name in ("numba", "c"):
-                try:
-                    _load(name)
-                except KernelUnavailableError:
-                    continue
-                _AUTO = name
-                break
-            else:
-                _AUTO = "python"
+            _AUTO = available_kernels()[-1]
         return _AUTO
     if kernel not in KERNELS:
         raise ValueError(
@@ -223,8 +195,7 @@ def ensure_warm(kernel: str | None) -> float:
     """Prepare the resolved kernel now; returns the seconds it took.
 
     For ``"c"`` that is compile-and-load (disk-cached, so usually only
-    the first process ever pays the compile); for ``"numba"`` it triggers
-    JIT compilation of all kernels on a tiny graph.  Memoised per
+    the first process ever pays the compile).  Memoised per
     process: the second call for a kernel returns ``0.0``.  The executor
     calls this *before* starting a job's wall clock, so
     ``JobOutcome.wall_seconds`` — and thus ``StatsReducer`` throughput —
@@ -238,9 +209,5 @@ def ensure_warm(kernel: str | None) -> float:
     # warmup_seconds and never influences any diffusion result.
     start = time.perf_counter()  # repro: ignore[wall-clock]
     _load(name)
-    if name == "numba":
-        from . import _numba
-
-        _numba.warm()
     _WARMED.add(name)
     return time.perf_counter() - start  # repro: ignore[wall-clock]

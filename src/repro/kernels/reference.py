@@ -3,9 +3,8 @@
 These functions define the *kernel contract*: flat CSR arrays in, flat
 key/value arrays out, with every floating-point operation performed in
 exactly the order the sequential reference algorithms in
-:mod:`repro.core` perform it.  The numba (:mod:`repro.kernels._numba`)
-and C (:mod:`repro.kernels._ckernels`) implementations are line-for-line
-transliterations of these loops, which is what makes the differential
+:mod:`repro.core` perform it.  The C (:mod:`repro.kernels._ckernels`)
+implementation is a line-for-line transliteration of these loops, which is what makes the differential
 suite's bit-identity assertions meaningful: any divergence is a kernel
 bug, never a tolerance question.
 

@@ -72,7 +72,7 @@ from ..engine.scheduler import estimate_cost, observe_outcome
 from ..runtime.cost_model import CostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cache import MigrationStats, ResultCache
+    from ..cache import MigrationStats
     from ..core.options import EngineOptions
     from ..core.result import ClusterResult
     from ..graph.csr import CSRGraph
@@ -150,22 +150,19 @@ class DiffusionService:
     graph:
         The graph every query runs against.
     engine:
-        A prebuilt :class:`repro.engine.BatchEngine` (or backend name);
-        ``None`` infers serial/process/sharded from ``workers`` and
-        ``shards`` exactly like the engine constructor.  ``workers``,
-        ``cache``, ``start_method``, ``schedule``, ``shards``,
-        ``max_resident_shards``, ``spill_shards``, ``halo_bytes`` and
-        ``kernel`` follow
-        :func:`repro.engine.resolve_engine` — with ``shards=`` the service
+        A prebuilt :class:`repro.engine.BatchEngine`, a backend name or
+        instance, or ``None``; see :func:`repro.engine.resolve_engine`.
+    options, **knobs:
+        The engine configuration, as one
+        :class:`~repro.core.options.EngineOptions` record or as its loose
+        keywords (``workers``, ``cache``, ``shards``, ``kernel``, ...);
+        that class documents each knob.  With ``shards=`` the service
         executes through the shard-routed backend, so a memory-capped
-        process serves the graph with only each query's shard(s) resident;
-        ``kernel`` sets the default loop implementation
-        (:mod:`repro.kernels`) stamped onto jobs that don't choose one.
-    graph_version:
-        With an :class:`~repro.graph.evolving.EvolvingGraph`: serve this
-        version by default instead of following the chain's latest.
-        Requests may still pin any existing version explicitly, and
-        ``update()`` keeps working.
+        process serves the graph with only each query's shard(s)
+        resident.  With an :class:`~repro.graph.evolving.EvolvingGraph`,
+        ``graph_version=`` serves that version by default instead of
+        following the chain's latest; requests may still pin any existing
+        version explicitly, and ``update()`` keeps working.
     max_batch:
         Most jobs one micro-batch may carry (default 32).  Smaller batches
         mean lower interactive latency under bulk load, at some dispatch
@@ -198,22 +195,11 @@ class DiffusionService:
         graph: "CSRGraph | EvolvingGraph",
         engine: "BatchEngine | str | None" = None,
         *,
-        workers: int | None = None,
-        parallel: bool | None = None,
-        include_vectors: bool | None = None,
-        cache: "ResultCache | bool | str | None" = None,
-        start_method: str | None = None,
-        schedule: str | None = None,
-        shards: int | None = None,
-        max_resident_shards: int | None = None,
-        spill_shards: int | None = None,
-        halo_bytes: int | None = None,
-        kernel: str | None = None,
-        graph_version: int | None = None,
         options: "EngineOptions | None" = None,
         max_batch: int = 32,
         max_linger: float = 0.002,
         max_batch_cost: float | None = None,
+        **knobs: Any,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -221,23 +207,7 @@ class DiffusionService:
             raise ValueError("max_linger must be >= 0")
         if max_batch_cost is not None and max_batch_cost <= 0:
             raise ValueError("max_batch_cost must be positive")
-        self.engine = resolve_engine(
-            graph,
-            engine,
-            workers=workers,
-            parallel=parallel,
-            include_vectors=include_vectors,
-            cache=cache,
-            start_method=start_method,
-            schedule=schedule,
-            shards=shards,
-            max_resident_shards=max_resident_shards,
-            spill_shards=spill_shards,
-            halo_bytes=halo_bytes,
-            kernel=kernel,
-            graph_version=graph_version,
-            options=options,
-        )
+        self.engine = resolve_engine(graph, engine, options, **knobs)
         self.max_batch = max_batch
         self.max_linger = max_linger
         self.max_batch_cost = max_batch_cost
@@ -282,7 +252,8 @@ class DiffusionService:
     async def start(self) -> "DiffusionService":
         """Pre-warm the service: start the drain loop, pool and export now,
         so the first query does not pay them.  Optional — ``submit`` starts
-        everything lazily.
+        everything lazily.  A cached service starts its pool with the
+        first cache miss instead, so all-hit traffic never starts one.
 
         If the pool cannot start (fd exhaustion, a full ``/dev/shm``),
         the service closes itself before re-raising: no drain task, no

@@ -410,6 +410,23 @@ class TestCachingBackend:
         with pytest.raises(RuntimeError, match="closed"):
             session.run([DiffusionJob.make(0)])
 
+    def test_all_hit_batch_opens_no_pool(self, graph, monkeypatch):
+        """A warm batch whose every job is cached must not start a pool:
+        the one-shot stream opens the inner session only for misses."""
+        engine = BatchEngine(graph, workers=2, cache=ResultCache())
+        jobs = [DiffusionJob.make(0), DiffusionJob.make(100)]
+        engine.run(jobs)
+        opened = []
+        real_init = executor_module.PoolSession.__init__
+        monkeypatch.setattr(
+            executor_module.PoolSession,
+            "__init__",
+            lambda self, *a, **k: opened.append(a) or real_init(self, *a, **k),
+        )
+        warm = engine.run(jobs)
+        assert [o.cached for o in warm] == [True, True]
+        assert opened == []
+
     def test_duplicates_coalesce_within_one_batch(self, graph, monkeypatch):
         cache = ResultCache()
         engine = BatchEngine(graph, cache=cache)

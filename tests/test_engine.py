@@ -456,17 +456,27 @@ class TestSharedCodePaths:
     class structure so the old copy-pasted fallback loop cannot return."""
 
     def test_backends_share_the_inline_loop(self):
-        from repro.engine import PoolBackend
+        from repro.cache import CachingBackend, CachingSession
+        from repro.engine import (
+            ExecutionSession,
+            PoolBackend,
+            PoolSession,
+            RouterSession,
+            ShardRouter,
+        )
 
         assert issubclass(SerialBackend, PoolBackend)
         assert issubclass(ProcessPoolBackend, PoolBackend)
-        # SerialBackend *is* the base loop — no override of stream or the
-        # inline runner; ProcessPoolBackend overrides stream only and has
-        # no inline execution path of its own.
-        assert SerialBackend.stream is PoolBackend.stream
-        assert SerialBackend._run_inline is PoolBackend._run_inline
-        assert ProcessPoolBackend._run_inline is PoolBackend._run_inline
-        assert ProcessPoolBackend.stream is not PoolBackend.stream
+        # SerialBackend *is* the base session's in-process loop, and
+        # PoolBackend.stream is the one open->run->close path: no backend
+        # overrides it, and no session type overrides run (where the
+        # engine's kernel default and freshness check live).
+        assert SerialBackend.open_session is PoolBackend.open_session
+        for backend in (SerialBackend, ProcessPoolBackend, ShardRouter, CachingBackend):
+            assert backend.stream is PoolBackend.stream
+        for session in (PoolSession, RouterSession, CachingSession):
+            assert issubclass(session, ExecutionSession)
+            assert session.run is ExecutionSession.run
 
 
 class TestEngineConfiguration:

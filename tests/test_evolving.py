@@ -2,9 +2,9 @@
 
 Covers the version chain itself (:mod:`repro.graph.evolving`), the
 engine's tracking-vs-pinned semantics (``graph_version=`` and the
-:class:`~repro.engine.VersionGuardSession` staleness guard, including
-the sharded-handle regression), and the region-aware cross-version
-cache migration (:func:`repro.cache.advance_version`).  The
+session staleness guard, including the sharded-handle regression), and
+the region-aware cross-version cache migration
+(:func:`repro.cache.advance_version`).  The
 differential properties — incremental ≡ cold across kernels, backends
 and shard counts — live in ``test_evolving_differential.py``.
 """
@@ -16,7 +16,7 @@ import pytest
 
 from repro.cache import MigrationStats, ResultCache, advance_version, delta_region
 from repro.core.options import RequestError
-from repro.engine import BatchEngine, DiffusionJob, VersionGuardSession, resolve_engine
+from repro.engine import BatchEngine, DiffusionJob, resolve_engine
 from repro.graph import (
     EvolvingGraph,
     GraphVersion,
@@ -191,7 +191,7 @@ class TestEngineVersioning:
         chain = EvolvingGraph(small_cycle)
         engine = BatchEngine(chain)
         with engine.open_session() as session:
-            assert isinstance(session, VersionGuardSession)
+            assert session._tracking is engine
             assert list(session.run([DiffusionJob.make(0)]))
             chain.apply_updates(insertions=[(0, 5)])
             with pytest.raises(RequestError) as excinfo:
@@ -201,7 +201,7 @@ class TestEngineVersioning:
     def test_pinned_session_is_not_guarded(self, small_cycle):
         chain = EvolvingGraph(small_cycle)
         with BatchEngine(chain, graph_version=0).open_session() as session:
-            assert not isinstance(session, VersionGuardSession)
+            assert session._tracking is None
             chain.apply_updates(insertions=[(0, 5)])
             assert list(session.run([DiffusionJob.make(0)]))
 

@@ -8,8 +8,8 @@ backend fails loudly with an actionable message, and unknown names are a
 
 Availability-dependent behaviour is tested twice: once against whatever
 this environment really provides, and once against *simulated*
-availability (monkeypatched probe caches), so the no-numba CI job and the
-numba CI job both exercise every branch.
+availability (monkeypatched probe caches), so hosts with and without a C
+compiler both exercise every branch.
 """
 
 from __future__ import annotations
@@ -36,13 +36,12 @@ def simulate(monkeypatch, available: tuple[str, ...]) -> None:
     """Pretend exactly ``available`` compiled backends probe successfully."""
     sets = {"python": kernels_mod._SETS["python"]}
     errors: dict[str, Exception] = {}
-    for name in ("numba", "c"):
-        if name in available:
-            sets[name] = kernels_mod._SETS.get(name, object())
-        else:
-            errors[name] = KernelUnavailableError(
-                kernels_mod._unavailable_message(name, ImportError("simulated"))
-            )
+    if "c" in available:
+        sets["c"] = kernels_mod._SETS.get("c", object())
+    else:
+        errors["c"] = KernelUnavailableError(
+            kernels_mod._unavailable_message("c", ImportError("simulated"))
+        )
     monkeypatch.setattr(kernels_mod, "_SETS", sets)
     monkeypatch.setattr(kernels_mod, "_ERRORS", errors)
     monkeypatch.setattr(kernels_mod, "_AUTO", None)
@@ -64,9 +63,7 @@ class TestResolveKernel:
         assert "python" in available_kernels()
         assert set(available_kernels()) <= set(KERNELS)
 
-    def test_auto_prefers_numba_then_c_then_python(self, monkeypatch):
-        simulate(monkeypatch, ("numba", "c"))
-        assert resolve_kernel("auto") == "numba"
+    def test_auto_prefers_c_then_python(self, monkeypatch):
         simulate(monkeypatch, ("c",))
         assert resolve_kernel("auto") == "c"
 
@@ -75,11 +72,6 @@ class TestResolveKernel:
         assert resolve_kernel("auto") == "python"
         # memoised: the second resolution must not re-probe
         assert resolve_kernel("auto") == "python"
-
-    def test_explicit_numba_raises_actionable_error_when_missing(self, monkeypatch):
-        simulate(monkeypatch, ())
-        with pytest.raises(KernelUnavailableError, match=r"repro\[kernels\]"):
-            resolve_kernel("numba")
 
     def test_explicit_c_raises_actionable_error_when_missing(self, monkeypatch):
         simulate(monkeypatch, ())
@@ -178,14 +170,13 @@ class TestSchedulerScale:
         assert kernel_cost_scale("python") == 1.0
 
     def test_compiled_kernels_scale_below_unity(self, monkeypatch):
-        simulate(monkeypatch, ("numba", "c"))
-        assert kernel_cost_scale("numba") == KERNEL_COST_SCALE["numba"] < 1.0
+        simulate(monkeypatch, ("c",))
         assert kernel_cost_scale("c") == KERNEL_COST_SCALE["c"] < 1.0
 
     def test_bad_kernels_never_raise_in_scheduling(self, monkeypatch):
         simulate(monkeypatch, ())
         assert kernel_cost_scale("fortran") == 1.0
-        assert kernel_cost_scale("numba") == 1.0  # unavailable -> python-like
+        assert kernel_cost_scale("c") == 1.0  # unavailable -> python-like
 
     def test_estimate_cost_scales_by_job_kernel(self, monkeypatch):
         simulate(monkeypatch, ("c",))
@@ -208,7 +199,7 @@ class TestKnobSurfaces:
     def test_engine_rejects_unavailable_kernel(self, monkeypatch):
         simulate(monkeypatch, ())
         with pytest.raises(KernelUnavailableError):
-            BatchEngine(barbell_graph(4), kernel="numba")
+            BatchEngine(barbell_graph(4), kernel="c")
 
     def test_local_cluster_rejects_unknown_kernel(self):
         from repro import local_cluster

@@ -200,7 +200,6 @@ class TestSchedulerBalance:
 
     def test_scale_values_are_sane(self):
         assert KERNEL_COST_SCALE["python"] == 1.0
-        assert 0.0 < KERNEL_COST_SCALE["numba"] < 1.0
         assert 0.0 < KERNEL_COST_SCALE["c"] < 1.0
 
 

@@ -5,9 +5,10 @@ to the canonical field name (RequestError is still a ValueError, so the
 historical except-clauses keep working); the wire schema round-trips
 verbatim and rejects unknown fields under ``"v": 1``; EngineOptions
 carries the whole knob surface with the engine's historical conflict
-messages; and ``options=`` composes with — but never silently overrides —
+messages; ``options=`` composes with — but never silently overrides —
 the loose kwargs on BatchEngine/resolve_engine/cluster_many/
-DiffusionService/local_cluster.
+DiffusionService/local_cluster; and no knob is silently dropped, whether
+it needs a pool the engine lacks or sits next to a prebuilt engine.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 
 from repro.cache import keys as cache_keys
-from repro.core import cluster_many, local_cluster
+from repro.cli import main
+from repro.core import cluster_many, local_cluster, ncp_profile
 from repro.core.options import (
     PRIORITIES,
     ClusterRequest,
@@ -29,7 +31,7 @@ from repro.core.options import (
 )
 from repro.engine import BatchEngine, DiffusionJob
 from repro.engine.executor import resolve_engine
-from repro.graph import barbell_graph, planted_partition
+from repro.graph import barbell_graph, planted_partition, save_npz
 
 
 @pytest.fixture(scope="module")
@@ -212,21 +214,52 @@ class TestEngineOptions:
         with pytest.raises(ValueError, match="unknown kernel"):
             EngineOptions(kernel="fortran").validate()
 
-    def test_wire_round_trip(self):
-        options = EngineOptions(workers=4, schedule="fifo", kernel="auto", shards=None)
-        wire = options.to_wire()
-        assert wire["v"] == 1 and wire["workers"] == 4
-        assert EngineOptions.from_wire(wire) == options
+    def test_coerce_drops_unset_knobs_and_rejects_unknown_names(self):
+        assert EngineOptions.coerce(workers=2, cache=False, kernel=None) == (
+            EngineOptions(workers=2)
+        )
+        options = EngineOptions(schedule="fifo", workers=2)
+        assert EngineOptions.coerce(options, workers=None) is options
+        with pytest.raises(TypeError, match="worker"):
+            EngineOptions.coerce(worker=2)
 
-    def test_wire_rejects_unknown_options_and_live_caches(self):
-        with pytest.raises(RequestError, match="unknown engine option") as info:
-            EngineOptions.from_wire({"v": 1, "worker": 4})
-        assert info.value.field == "worker"
-        from repro.cache import ResultCache
 
-        with pytest.raises(RequestError, match="directory path"):
-            EngineOptions(cache=ResultCache()).to_wire()
-        assert EngineOptions(cache=True).to_wire()["cache"] is True
+class TestNoSilentlyDroppedKnob:
+    def test_pool_knobs_without_a_pool_raise(self, graph, tmp_path):
+        """start_method/schedule need the process backend; every entry
+        point used to accept them on a serial engine and ignore them."""
+        for knobs in ({"start_method": "spawn"}, {"schedule": "fifo"}):
+            with pytest.raises(ValueError, match="configures the worker pool"):
+                BatchEngine(graph, **knobs)
+            with pytest.raises(ValueError, match="configures the worker pool"):
+                ncp_profile(graph, seeds=[0], **knobs)
+            with pytest.raises(ValueError, match="configures the worker pool"):
+                cluster_many(graph, [0], eps=1e-4, **knobs)
+        path = tmp_path / "graph.npz"
+        save_npz(graph, path)
+        for command in (
+            ["batch", str(path), str(tmp_path / "batch.csv"), "--seed", "0"],
+            ["ncp", str(path), str(tmp_path / "ncp.csv"), "--seeds", "1"],
+        ):
+            with pytest.raises(
+                SystemExit,
+                match="--start-method configures the worker pool; pass --workers > 1",
+            ):
+                main([*command, "--start-method", "spawn"])
+
+    def test_prebuilt_engine_rejects_parallel_and_include_vectors(self, graph):
+        engine = BatchEngine(graph)
+        for knobs in ({"parallel": False}, {"include_vectors": False}):
+            with pytest.raises(ValueError, match="already constructed"):
+                resolve_engine(graph, engine, **knobs)
+        with pytest.raises(ValueError, match="already constructed.*parallel"):
+            cluster_many(graph, [0], engine=engine, parallel=False, eps=1e-4)
+
+    def test_ncp_profile_accepts_a_prebuilt_engine(self, graph):
+        prebuilt = ncp_profile(graph, seeds=[0, 50], engine=BatchEngine(graph))
+        built = ncp_profile(graph, seeds=[0, 50])
+        assert prebuilt.runs == built.runs == 8
+        assert np.array_equal(prebuilt.conductance, built.conductance)
 
 
 class TestOptionsThreadedThroughTheStack:
