@@ -1,11 +1,11 @@
 """Compiled kernel plane — single-thread hot-loop throughput vs Python.
 
-The kernel plane's acceptance number: the compiled PR-Nibble push loop
+The kernel plane's acceptance numbers: the compiled PR-Nibble push loop
 runs the *same* diffusion (bit-identical p/r vectors, pushes, sweep) at
->= 10x the Python reference's single-thread throughput.  Three timed
-scenarios per available kernel, all sequential (``parallel=False`` where
-the knob applies) so the comparison is loop implementation and nothing
-else:
+>= 10x the Python reference's single-thread throughput, and so does the
+default path.  Three timed scenarios per available kernel, all
+sequential (``parallel=False`` where the knob applies) so the comparison
+is loop implementation and nothing else:
 
 * **pr-nibble** — the queue-based push loop, the paper's workhorse, at a
   Table-3-style tight eps (the regime where the loop dominates and the
@@ -14,12 +14,20 @@ else:
   diffusion's support;
 * **rand-hk-pr** — the vectorised walk step loop (filter + gather).
 
+Plus one **default-path** leg: ``local_cluster`` exactly as every entry
+point calls it (``parallel=True``: frontier-synchronous PR-Nibble and the
+Theorem 1 sweep) on the soc-LJ proxy at alpha=0.01, eps=1e-6, with
+``kernel="python"`` (the numpy rounds) against the default kernel.  The
+two must return the same cluster, conductance, support, pushes, rounds
+and recorded work/depth profile.
+
 Results: ``results/bench_kernels.csv`` + ``BENCH_kernels.json`` with the
-headline ``pr_nibble_speedup`` per compiled kernel.  Outside smoke mode
-the >= 10x criterion is asserted (at smoke scale the shrunken proxies
-leave too few pushes for the ratio to stabilise).  Warm-up (JIT/compile)
-is paid before any clock starts — the same steady-state rule the
-executor's ``warmup_seconds`` accounting enforces.
+headline ``pr_nibble_speedup`` per compiled kernel and the default
+path's ``speedup``.  Outside smoke mode both >= 10x criteria are asserted
+(at smoke scale the shrunken proxies leave too few pushes for the ratio
+to stabilise).  Warm-up (JIT/compile) is paid before any clock starts —
+the same steady-state rule the executor's ``warmup_seconds`` accounting
+enforces.
 """
 
 from __future__ import annotations
@@ -31,10 +39,12 @@ import time
 
 import numpy as np
 
+from repro import local_cluster
 from repro.bench import format_seconds, format_table, write_csv
 from repro.core import PRNibbleParams, RandHKPRParams, pr_nibble, rand_hk_pr, sweep_cut
 from repro.core.result import vector_items
-from repro.kernels import available_kernels, ensure_warm
+from repro.kernels import available_kernels, ensure_warm, resolve_kernel
+from repro.runtime import track
 
 GRAPH = "Twitter"  # largest-volume proxy: longest push queues
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
@@ -45,6 +55,9 @@ WALK_PARAMS = RandHKPRParams(
     t=10.0, max_walk_length=10, num_walks=2_000 if SMOKE else 200_000
 )
 MIN_SPEEDUP = 10.0
+
+DEFAULT_PATH_GRAPH = "soc-LJ"  # the end-to-end benchmark's graph
+DEFAULT_PATH_PARAMS = {"alpha": 0.01, "eps": 1e-4 if SMOKE else 1e-6}
 
 
 def bench_seeds(graph):
@@ -91,6 +104,44 @@ def time_kernel(kernel, graph, seeds):
     return seconds, checks
 
 
+def time_default_path(graph, seed, kernel):
+    """One default-path ``local_cluster`` call: (seconds, result, profile)."""
+    ensure_warm(kernel)
+    start = time.perf_counter()
+    with track() as profile:
+        result = local_cluster(graph, seed, kernel=kernel, **DEFAULT_PATH_PARAMS)
+    return time.perf_counter() - start, result, profile
+
+
+def default_path_leg(graph):
+    """numpy rounds vs the default kernel on the default path; asserts
+    identical results and profiles, returns the summary entry."""
+    seed = int(np.argmax(graph.degrees()))
+    numpy_seconds, numpy_run, numpy_profile = time_default_path(graph, seed, "python")
+    seconds, run, profile = time_default_path(graph, seed, None)
+    assert np.array_equal(run.cluster, numpy_run.cluster)
+    assert run.conductance == numpy_run.conductance
+    assert run.diffusion.support_size() == numpy_run.diffusion.support_size()
+    assert run.diffusion.pushes == numpy_run.diffusion.pushes
+    assert run.diffusion.iterations == numpy_run.diffusion.iterations
+    assert profile.snapshot() == numpy_profile.snapshot()
+    assert profile.rounds == numpy_profile.rounds
+    return {
+        "graph": DEFAULT_PATH_GRAPH,
+        "seed": seed,
+        **DEFAULT_PATH_PARAMS,
+        "default_kernel": resolve_kernel(None),
+        "numpy_seconds": numpy_seconds,
+        "default_seconds": seconds,
+        "speedup": numpy_seconds / seconds,
+        "support": run.diffusion.support_size(),
+        "pushes": run.diffusion.pushes,
+        "rounds": run.diffusion.iterations,
+        "cluster_size": run.size,
+        "conductance": run.conductance,
+    }
+
+
 def test_kernel_throughput(benchmark, graphs):
     graph = graphs[GRAPH]
     seeds = bench_seeds(graph)
@@ -100,6 +151,7 @@ def test_kernel_throughput(benchmark, graphs):
         return {kernel: time_kernel(kernel, graph, seeds) for kernel in kernels}
 
     runs = benchmark.pedantic(measure, rounds=1, iterations=1)
+    default_path = default_path_leg(graphs[DEFAULT_PATH_GRAPH])
 
     # Differential gate first: a fast wrong kernel is not a result.
     _, reference = runs["python"]
@@ -147,6 +199,23 @@ def test_kernel_throughput(benchmark, graphs):
             "sequential (single thread)",
         )
     )
+    print(
+        format_table(
+            ["kernel", "local_cluster", "speedup", "pushes", "rounds", "phi"],
+            [
+                ["python (numpy rounds)", format_seconds(default_path["numpy_seconds"]),
+                 "1.0x", default_path["pushes"], default_path["rounds"],
+                 f"{default_path['conductance']:.4g}"],
+                [f"default ({default_path['default_kernel']})",
+                 format_seconds(default_path["default_seconds"]),
+                 f"{default_path['speedup']:.1f}x", default_path["pushes"],
+                 default_path["rounds"], f"{default_path['conductance']:.4g}"],
+            ],
+            title=f"Default path: {DEFAULT_PATH_GRAPH} proxy, seed "
+            f"{default_path['seed']}, alpha={DEFAULT_PATH_PARAMS['alpha']} "
+            f"eps={DEFAULT_PATH_PARAMS['eps']}, parallel=True (single thread)",
+        )
+    )
     write_csv(
         "bench_kernels",
         [
@@ -176,13 +245,15 @@ def test_kernel_throughput(benchmark, graphs):
             }
             for kernel in kernels
         },
+        "default_path": default_path,
     }
     pathlib.Path("BENCH_kernels.json").write_text(json.dumps(summary, indent=2))
     print(json.dumps(summary, indent=2))
 
-    # The acceptance criterion: >= 10x single-thread push throughput from
-    # every compiled kernel, at full bench scale only (smoke's loose eps
-    # leaves so few pushes that constant overheads dominate the ratio).
+    # The acceptance criteria: >= 10x single-thread push throughput from
+    # every compiled kernel, and >= 10x on the default path, at full bench
+    # scale only (smoke's loose eps leaves so few pushes that constant
+    # overheads dominate the ratio).
     compiled = [kernel for kernel in kernels if kernel != "python"]
     if not SMOKE:
         assert compiled, "no compiled kernel available to measure"
@@ -192,3 +263,6 @@ def test_kernel_throughput(benchmark, graphs):
                 f"({py_seconds['pr_nibble']:.3f}s python vs "
                 f"{runs[kernel][0]['pr_nibble']:.3f}s {kernel})"
             )
+        assert default_path["speedup"] >= MIN_SPEEDUP, (
+            f"default path speedup {default_path['speedup']:.1f}x < {MIN_SPEEDUP}x"
+        )

@@ -951,7 +951,7 @@ def _add_kernel_flag(parser: argparse.ArgumentParser) -> None:
         metavar="KERNEL",
         help="loop implementation for the hot diffusion paths (auto, python, "
         "c).  Results are bit-identical across kernels; 'auto' picks "
-        "the fastest available and falls back to python (default: python)",
+        "the fastest available and falls back to python (default: auto)",
     )
 
 

@@ -82,8 +82,8 @@ def local_cluster(
         methods; default 0).
     kernel:
         Loop implementation for the hot paths (:mod:`repro.kernels`):
-        ``None``/``"python"`` (default), ``"c"``, or
-        ``"auto"`` for the best available with graceful fallback.
+        ``None``/``"auto"`` (default: ``"c"`` when a C compiler is
+        present, else ``"python"``), ``"c"`` or ``"python"``.
         Results are bit-identical across kernels.
     **param_overrides:
         Fields of the method's parameter dataclass, e.g.

@@ -224,9 +224,9 @@ def hk_pr(
     """Run deterministic HK-PR with default or supplied parameters.
 
     ``kernel`` is accepted for API uniformity with the other methods and
-    validated (:func:`repro.kernels.resolve_kernel`); the Taylor-push
-    loops are dominated by whole-frontier array operations, so HK-PR has
-    no compiled twin and both values run the reference code.
+    validated (:func:`repro.kernels.resolve_kernel`), but HK-PR has no
+    compiled twin yet: both paths run the reference code under every
+    kernel, including the default.
     """
     from ..kernels import resolve_kernel
 

@@ -168,9 +168,9 @@ def nibble(
     """Run Nibble with default or supplied parameters.
 
     ``kernel`` is accepted for API uniformity with the other methods and
-    validated (:func:`repro.kernels.resolve_kernel`); Nibble's truncated
-    power iteration is dominated by whole-frontier array operations, so
-    it has no compiled twin and both values run the reference code.
+    validated (:func:`repro.kernels.resolve_kernel`), but Nibble has no
+    compiled twin yet: both paths run the reference code under every
+    kernel, including the default.
     """
     from ..kernels import resolve_kernel
 

@@ -533,7 +533,7 @@ class EngineOptions:
     kernel:
         Default loop implementation for jobs that do not carry their own
         ``DiffusionJob.kernel`` (:mod:`repro.kernels`): ``None`` (keep the
-        jobs' setting, ultimately ``"python"``), ``"python"``, ``"c"`` or
+        jobs' setting, ultimately ``"auto"``), ``"python"``, ``"c"`` or
         ``"auto"``.  Outcomes are bit-identical across kernels, and the
         kernel is excluded from cache keys.
     graph_version:

@@ -62,6 +62,7 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..kernels import csr_arrays, get_kernels, resolve_kernel
 from ..ligra import VertexSubset, edge_map, expand_by_degree, vertex_map
+from ..prims.hashtable import TableCharges
 from ..prims.sparse import SparseDict, SparseVector
 from ..runtime import log2ceil, record
 from .result import DiffusionResult
@@ -120,7 +121,7 @@ def pr_nibble_sequential(
 
     ``kernel`` selects the push-loop implementation (see
     :mod:`repro.kernels`): a compiled kernel runs the identical loop over
-    the raw CSR arrays and is bit-identical to the Python default —
+    the raw CSR arrays and is bit-identical to ``kernel="python"`` —
     including sparse-vector entry order, push counts, and the recorded
     work profile.  Graphs without whole-CSR arrays (shard views) always
     take the Python path.
@@ -205,7 +206,10 @@ def _select_beta_fraction(
 
 
 def pr_nibble_parallel(
-    graph: CSRGraph, seeds: int | np.ndarray, params: PRNibbleParams
+    graph: CSRGraph,
+    seeds: int | np.ndarray,
+    params: PRNibbleParams,
+    kernel: str | None = None,
 ) -> DiffusionResult:
     """Frontier-parallel PR-Nibble (Figures 5-6), optionally beta-fraction.
 
@@ -213,8 +217,23 @@ def pr_nibble_parallel(
     ``UpdateSelf`` (vertexMap) before ``UpdateNgh`` (edgeMap), matching the
     r / r' two-vector discipline of the pseudocode: pushes use only
     residuals from previous iterations.
+
+    ``kernel`` selects the implementation (see :mod:`repro.kernels`): a
+    compiled kernel runs the same rounds over the raw CSR arrays and is
+    bit-identical to the numpy rounds below (``kernel="python"``) — entry
+    order, values, ``residual_mass``, counters, frontier sizes and the
+    recorded work/depth profile.  The numpy rounds also serve graphs
+    without whole-CSR arrays (shard views) and ``beta < 1``.
     """
     seed_list = _seed_array(seeds)
+    kernel_name = resolve_kernel(kernel)
+    arrays = (
+        csr_arrays(graph) if kernel_name != "python" and params.beta == 1.0 else None
+    )
+    if arrays is not None:
+        return _pr_nibble_parallel_compiled(
+            get_kernels(kernel_name), arrays, seed_list, params
+        )
     alpha = params.alpha
     eps = params.eps
     p = SparseVector()
@@ -299,6 +318,51 @@ def pr_nibble_parallel(
     )
 
 
+def _pr_nibble_parallel_compiled(
+    kernels, arrays: tuple[np.ndarray, np.ndarray], seed_list: np.ndarray,
+    params: PRNibbleParams,
+) -> DiffusionResult:
+    """:func:`pr_nibble_parallel` through a compiled frontier kernel.
+
+    The kernel reports per-round counts; this replays, in order, every
+    ``record()`` call the numpy rounds make — the hash-table charges
+    through the same :class:`TableCharges` the table uses — so the work,
+    depth, per-category split and round count match.
+    """
+    p_keys, p_values, r_keys, r_values, stats = kernels.ppr_bsp(
+        arrays[0], arrays[1], seed_list,
+        params.alpha, params.eps, params.optimized, params.max_iterations,
+    )
+    p_charges = TableCharges()
+    r_charges = TableCharges(len(seed_list))
+    r_charges.insert(len(seed_list), len(seed_list))  # SparseVector.from_pairs
+    for size, volume, distinct, candidates, new_p, new_r in stats.tolist():
+        r_charges.lookup(size)  # r.get(frontier)
+        record(work=size, depth=log2ceil(size), category="vertex_map")
+        p_charges.insert(size, new_p)  # p.add(frontier)
+        r_charges.insert(size, 0)  # r.set(frontier): frontier keys are stored
+        # edge_map: gather_edges' offset scan and gather, then the edge pass
+        record(work=size, depth=log2ceil(size), category="scan")
+        record(work=size + volume, depth=log2ceil(volume), category="edge_map")
+        record(work=volume, depth=log2ceil(volume), category="edge_map")
+        r_charges.insert(distinct, new_r)  # r.add(targets)
+        r_charges.lookup(candidates)  # r.get(candidates)
+        record(work=candidates, depth=log2ceil(candidates), category="filter")
+    p = SparseVector.from_sorted(p_keys, p_values, p_charges)
+    r = SparseVector.from_sorted(r_keys, r_values, r_charges)
+    return DiffusionResult(
+        vector=p,
+        iterations=len(stats),
+        pushes=int(stats[:, 0].sum()),
+        touched_edges=int(stats[:, 1].sum()),
+        extras={
+            "residual_mass": r.l1_norm(),
+            "residual": r,
+            "frontier_sizes": stats[:, 0].tolist(),
+        },
+    )
+
+
 def pr_nibble(
     graph: CSRGraph,
     seeds: int | np.ndarray,
@@ -308,16 +372,14 @@ def pr_nibble(
 ) -> DiffusionResult:
     """Run PR-Nibble with default or supplied parameters.
 
-    ``kernel`` selects the push-loop implementation for the sequential
-    path (:mod:`repro.kernels`); the bulk-synchronous parallel path is
-    already array-vectorised and ignores it.  An explicitly requested
-    but unavailable kernel raises either way — better loud than silently
-    different from what was asked for.
+    ``kernel`` selects the push-loop implementation of either path
+    (:mod:`repro.kernels`); the default runs compiled code when a C
+    compiler is present.  An explicitly requested but unavailable kernel
+    raises — better loud than silently different from what was asked for.
     """
     params = params or PRNibbleParams()
     if parallel:
-        resolve_kernel(kernel)  # validate even though the BSP path ignores it
-        return pr_nibble_parallel(graph, seeds, params)
+        return pr_nibble_parallel(graph, seeds, params, kernel=kernel)
     return pr_nibble_sequential(graph, seeds, params, kernel=kernel)
 
 

@@ -27,9 +27,9 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..kernels import csr_arrays, get_kernels, resolve_kernel
 from ..prims.compact import pack_index
-from ..prims.hashtable import IntFloatHashTable
+from ..prims.hashtable import IntFloatHashTable, TableCharges
 from ..prims.scan import argmin_via_scan, prefix_sum
-from ..prims.sort import integer_sort_order
+from ..prims.sort import charge_integer_sort, integer_sort_order
 from ..runtime import log2ceil, record
 from .result import SweepResult, vector_items
 
@@ -116,7 +116,7 @@ def sweep_cut_sequential(graph: CSRGraph, vector, kernel: str | None = None) -> 
     )
 
 
-def sweep_cut_parallel(graph: CSRGraph, vector) -> SweepResult:
+def sweep_cut_parallel(graph: CSRGraph, vector, kernel: str | None = None) -> SweepResult:
     """Work-efficient parallel sweep cut (Theorem 1).
 
     Follows the construction in the paper's proof and worked example:
@@ -131,12 +131,38 @@ def sweep_cut_parallel(graph: CSRGraph, vector) -> SweepResult:
     5. integer-sort ``Z`` by rank, prefix-sum the signs; the running sum at
        the last entry of rank i's run is ``|∂(S_i)|``;
     6. a min-scan over the N conductances selects the best prefix.
+
+    ``kernel`` selects how steps 2-5 run (:mod:`repro.kernels`).  They are
+    all-integer, so a compiled kernel takes the volumes and cuts from the
+    membership scan (``sweep_scan``), which yields the same arrays, and
+    records the same work/depth as the numpy steps (``kernel="python"``,
+    also the path for graphs without whole-CSR arrays).
     """
     ordered, degrees = sweep_order(graph, vector)
     n = len(ordered)
     if n == 0:
         raise ValueError("sweep cut needs at least one vertex with positive mass")
-    total_volume = graph.total_volume
+    kernel_name = resolve_kernel(kernel)
+    arrays = csr_arrays(graph) if kernel_name != "python" else None
+    if arrays is not None:
+        volumes, cuts = get_kernels(kernel_name).sweep_scan(
+            arrays[0], arrays[1], ordered, degrees
+        )
+        _charge_prefix_steps(n, int(volumes[-1]))
+    else:
+        volumes, cuts = _prefix_steps(graph, ordered, degrees)
+    conductances = _guarded_conductance(cuts, volumes, graph.total_volume)
+    best = argmin_via_scan(conductances)
+    return SweepResult(
+        order=ordered, conductances=conductances, volumes=volumes, cuts=cuts, best_index=best
+    )
+
+
+def _prefix_steps(
+    graph: CSRGraph, ordered: np.ndarray, degrees: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Steps 2-5 of Theorem 1: ``(volumes, cuts)`` of every prefix."""
+    n = len(ordered)
 
     # Step 2: rank sparse set (hash table), ranks are 1-based.
     rank_table = IntFloatHashTable(capacity_hint=n)
@@ -176,12 +202,24 @@ def sweep_cut_parallel(graph: CSRGraph, vector) -> SweepResult:
     member_runs = run_rank <= n
     cuts = np.zeros(n, dtype=np.int64)
     cuts[run_rank[member_runs] - 1] = running[run_end[member_runs]]
+    return volumes, cuts
 
-    conductances = _guarded_conductance(cuts, volumes, total_volume)
-    best = argmin_via_scan(conductances)
-    return SweepResult(
-        order=ordered, conductances=conductances, volumes=volumes, cuts=cuts, best_index=best
-    )
+
+def _charge_prefix_steps(n: int, volume: int) -> None:
+    """Replay, in order, the ``record()`` calls of :func:`_prefix_steps`
+    for N candidates of total degree ``volume`` (>= N)."""
+    rank_charges = TableCharges(n)
+    rank_charges.insert(n, n)  # step 2: rank_table.assign
+    record(work=n, depth=log2ceil(n), category="scan")  # step 3: prefix_sum
+    # step 4: gather_edges' offset scan and gather, rank lookups, Z build
+    record(work=n, depth=log2ceil(n), category="scan")
+    record(work=n + volume, depth=log2ceil(volume), category="edge_map")
+    rank_charges.lookup(volume)
+    record(work=2.0 * volume, depth=log2ceil(volume), category="misc")
+    # step 5: integer sort, sign prefix sum, run-end pack over 2 vol pairs
+    charge_integer_sort(2 * volume, n + 1)
+    record(work=2 * volume, depth=log2ceil(2 * volume), category="scan")
+    record(work=2 * volume, depth=log2ceil(2 * volume), category="filter")
 
 
 def sweep_cut(
@@ -189,11 +227,10 @@ def sweep_cut(
 ) -> SweepResult:
     """Dispatch to the parallel (default) or sequential sweep cut.
 
-    ``kernel`` selects the membership-scan implementation for the
-    sequential path (:mod:`repro.kernels`); the parallel sweep is already
-    array-vectorised and ignores it (the knob is still validated).
+    ``kernel`` selects the membership-scan implementation of either path
+    (:mod:`repro.kernels`); the default runs compiled code when a C
+    compiler is present.
     """
     if parallel:
-        resolve_kernel(kernel)
-        return sweep_cut_parallel(graph, vector)
+        return sweep_cut_parallel(graph, vector, kernel=kernel)
     return sweep_cut_sequential(graph, vector, kernel=kernel)

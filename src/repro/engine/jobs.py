@@ -51,8 +51,8 @@ class DiffusionJob:
     kernel:
         Loop implementation for the job's hot paths
         (:mod:`repro.kernels`): ``None`` inherits the engine's default
-        (ultimately ``"python"``), or ``"python"``/``"c"``/
-        ``"auto"`` explicitly.  Like ``tag`` it is excluded from the
+        (ultimately ``"auto"``: C when a compiler is present), or
+        ``"python"``/``"c"``/``"auto"`` explicitly.  Like ``tag`` it is excluded from the
         cache key — results are bit-identical across kernels, so entries
         written under one kernel replay under any other.
     """

@@ -97,11 +97,11 @@ KERNEL_COST_SCALE = {"python": 1.0, "c": 0.02}
 def resolved_kernel_name(kernel: str | None) -> str:
     """The kernel a job would actually run under, as a calibration key.
 
-    Never raises: unknown or unavailable kernels key like Python (the
-    execution layer is where bad kernels must fail, loudly).
+    ``None`` resolves exactly as execution resolves it
+    (:func:`repro.kernels.resolve_kernel`).  Never raises: unknown or
+    unavailable kernels key like Python (the execution layer is where bad
+    kernels must fail, loudly).
     """
-    if kernel is None:
-        return "python"
     try:
         return resolve_kernel(kernel)
     except (ValueError, KernelUnavailableError):

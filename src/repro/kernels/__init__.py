@@ -1,23 +1,25 @@
-"""Compiled kernel plane: the three hot loops, selectable at run time.
+"""Compiled kernel plane: the hot loops, selectable at run time.
 
 The paper's headline numbers come from tight shared-memory loops; this
-package provides compiled implementations of the three hottest ones —
-the PR-Nibble push loop, the sweep-cut membership scan, and random-walk
-stepping — behind a single ``kernel=`` knob threaded through
-:func:`repro.local_cluster`, :class:`repro.engine.DiffusionJob`/
-:class:`~repro.engine.BatchEngine`, :class:`repro.serve.DiffusionService`
-and the CLI.
+package provides compiled implementations of the hottest ones — the
+PR-Nibble push loop in both forms (the sequential queue loop and the
+frontier-synchronous rounds of Figures 5-6), the sweep-cut membership
+scan, and random-walk stepping — behind a single ``kernel=`` knob
+threaded through :func:`repro.local_cluster`,
+:class:`repro.engine.DiffusionJob`/:class:`~repro.engine.BatchEngine`,
+:class:`repro.serve.DiffusionService` and the CLI.
 
 Backends
 --------
 ``"python"``
-    The original object-level reference loops in :mod:`repro.core`,
-    untouched.  Always available; the default (``kernel=None``).
+    The reference loops in :mod:`repro.core`: the object-level
+    sequential loops and the numpy bulk-synchronous rounds.  Always
+    available.
 ``"c"``
     The same loops as C, compiled once with the system compiler and
     loaded via ctypes (:mod:`repro.kernels._ckernels`).  Available
     wherever ``cc``/``gcc``/``clang`` is on PATH — no new dependency.
-``"auto"``
+``"auto"`` (and ``None``, every API's default)
     Probe once per process and pick ``"c"`` when it is available,
     degrading silently to ``"python"`` when it is not.
 
@@ -26,29 +28,35 @@ compiled execution composes with :class:`repro.graph.shared.SharedCSR`
 zero-copy attach for free; :class:`repro.graph.sharded.ShardedGraphView`
 exposes no whole-graph arrays (:func:`csr_arrays` returns ``None``), so
 jobs running on shard views escalate to the Python path — bit-identical
-either way.  Recorded work/depth profiles and cache keys are identical
-across kernels, so :class:`repro.cache.ResultCache` entries are
-kernel-agnostic: an outcome written under one kernel replays under any
-other.
+either way.  The bulk-synchronous Nibble and HK-PR and PR-Nibble's
+``beta < 1`` variant have no compiled twin and run the numpy rounds.
+Recorded work/depth profiles and cache keys are identical across
+kernels, so :class:`repro.cache.ResultCache` entries are kernel-agnostic:
+an outcome written under one kernel replays under any other.
 
 Runnable example — the compiled result is bit-identical to the
-reference, including sparse-vector entry order:
+reference, including sparse-vector entry order and the recorded
+work/depth profile:
 
 >>> from repro.kernels import available_kernels, resolve_kernel
->>> resolve_kernel(None)
-'python'
->>> best = resolve_kernel("auto")
->>> best in available_kernels()
+>>> resolve_kernel(None) == resolve_kernel("auto") in available_kernels()
 True
+>>> resolve_kernel("python")
+'python'
 >>> from repro.core import PRNibbleParams, pr_nibble
 >>> from repro.graph import barbell_graph
+>>> from repro.runtime import track
 >>> graph = barbell_graph(8)
 >>> params = PRNibbleParams(alpha=0.1, eps=1e-5)
->>> reference = pr_nibble(graph, 0, params, parallel=False)
->>> compiled = pr_nibble(graph, 0, params, parallel=False, kernel="auto")
->>> compiled.vector.to_dict() == reference.vector.to_dict()
+>>> with track() as numpy_profile:
+...     reference = pr_nibble(graph, 0, params, kernel="python")
+>>> with track() as default_profile:
+...     default = pr_nibble(graph, 0, params)
+>>> default.vector.to_dict() == reference.vector.to_dict()
 True
->>> compiled.pushes == reference.pushes
+>>> default.pushes == reference.pushes
+True
+>>> default_profile.snapshot() == numpy_profile.snapshot()
 True
 """
 
@@ -71,8 +79,8 @@ __all__ = [
     "ensure_warm",
 ]
 
-#: every explicit value the ``kernel=`` knob accepts (``None`` means
-#: ``"python"``; ``"auto"`` resolves to the best entry of this tuple).
+#: every explicit value the ``kernel=`` knob accepts (``None`` and
+#: ``"auto"`` resolve to the best available entry of this tuple).
 KERNELS = ("python", "c")
 
 
@@ -145,18 +153,17 @@ def available_kernels() -> tuple[str, ...]:
 def resolve_kernel(kernel: str | None) -> str:
     """Normalise the ``kernel=`` knob to a concrete, runnable kernel name.
 
-    ``None`` means ``"python"`` (the default behaviour of every API is
-    unchanged; compiled kernels are strictly opt-in).  ``"auto"`` probes
-    once per process and picks ``"c"``, silently using ``"python"`` when
-    the C backend is unavailable.  Explicitly
-    requesting an unavailable backend raises
-    :class:`KernelUnavailableError` with the reason; an unknown name
-    raises ``ValueError``.
+    ``None`` (every API's default) means ``"auto"``: probe once per
+    process and pick ``"c"``, silently using ``"python"`` when the C
+    backend is unavailable.  Explicitly requesting an unavailable backend
+    raises :class:`KernelUnavailableError` with the reason; an unknown
+    name raises ``ValueError``.  This is the one place the default is
+    decided.
     """
     global _AUTO
-    if kernel is None or kernel == "python":
+    if kernel == "python":
         return "python"
-    if kernel == "auto":
+    if kernel is None or kernel == "auto":
         if _AUTO is None:
             _AUTO = available_kernels()[-1]
         return _AUTO

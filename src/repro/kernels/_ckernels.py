@@ -145,6 +145,117 @@ i64 ppr_push(const i64 *offsets, const i64 *neighbors, i64 n,
     return 0;
 }
 
+static int compare_i64(const void *a, const void *b)
+{
+    i64 x = *(const i64 *)a, y = *(const i64 *)b;
+    return (x > y) - (x < y);
+}
+
+/* Frontier-synchronous PR-Nibble rounds (Figures 5-6, beta == 1);
+ * mirrors repro.core.pr_nibble.pr_nibble_parallel's numpy rounds bit for
+ * bit.  Shares come from start-of-round residuals, UpdateSelf lands
+ * before UpdateNgh, and each target's pushed mass is summed in gathered
+ * edge order (frontier ascending, CSR order within a vertex) before one
+ * add into r — the np.bincount pre-combine of SparseVector.add.
+ * Runs at most max_rounds rounds from the ascending frontier in
+ * frontier[0..state[0]) and leaves the next frontier there.
+ * state: [frontier size, num_p, num_r].  stats gets six counts per round:
+ * |F|, vol(F), distinct pushed-to targets, candidates (F plus targets),
+ * new p keys, new r keys.  acc and mark are zero on entry and on return.
+ * Returns the number of rounds run. */
+i64 ppr_bsp(const i64 *offsets, const i64 *neighbors,
+            double alpha, double eps, i64 optimized, i64 max_rounds,
+            double *p, double *r, uint8_t *in_p, uint8_t *in_r,
+            i64 *p_keys, i64 *r_keys, i64 *frontier, i64 *targets,
+            double *acc, uint8_t *mark, i64 *state, i64 *stats)
+{
+    enum { IN_FRONTIER = 1, TARGET = 2 };
+    i64 size = state[0], num_p = state[1], num_r = state[2];
+    i64 rounds = 0;
+    while (size > 0 && rounds < max_rounds) {
+        i64 volume = 0, distinct = 0, overlap = 0, new_p = 0, new_r = 0;
+        for (i64 i = 0; i < size; i++) {
+            i64 vertex = frontier[i];
+            i64 degree = offsets[vertex + 1] - offsets[vertex];
+            double value = r[vertex];
+            double gain, share;
+            if (optimized) {
+                gain = (2.0 * alpha / (1.0 + alpha)) * value;
+                share = ((1.0 - alpha) / (1.0 + alpha)) * value / (double)degree;
+                r[vertex] = 0.0;
+            } else {
+                gain = alpha * value;
+                share = (1.0 - alpha) * value / (2.0 * (double)degree);
+                r[vertex] = (1.0 - alpha) * value / 2.0;
+            }
+            if (!in_p[vertex]) {
+                in_p[vertex] = 1;
+                p_keys[num_p++] = vertex;
+                new_p++;
+            }
+            p[vertex] += gain;
+            mark[vertex] |= IN_FRONTIER;
+            volume += degree;
+            for (i64 edge = offsets[vertex]; edge < offsets[vertex + 1]; edge++) {
+                i64 neighbor = neighbors[edge];
+                if (!(mark[neighbor] & TARGET)) {
+                    mark[neighbor] |= TARGET;
+                    targets[distinct++] = neighbor;
+                }
+                acc[neighbor] += share;
+            }
+        }
+        for (i64 i = 0; i < distinct; i++) {
+            i64 vertex = targets[i];
+            if (!in_r[vertex]) {
+                in_r[vertex] = 1;
+                r_keys[num_r++] = vertex;
+                new_r++;
+            }
+            r[vertex] += acc[vertex];
+            acc[vertex] = 0.0;
+        }
+        /* Local filter over F plus targets: eligible targets outside F
+         * compact into targets[0..fresh), eligible F into frontier[0..kept). */
+        i64 fresh = 0, kept = 0;
+        for (i64 i = 0; i < distinct; i++) {
+            i64 vertex = targets[i];
+            i64 degree = offsets[vertex + 1] - offsets[vertex];
+            if (mark[vertex] & IN_FRONTIER)
+                overlap++;
+            else if (degree > 0 && r[vertex] >= eps * (double)degree)
+                targets[fresh++] = vertex;
+            mark[vertex] &= IN_FRONTIER;
+        }
+        for (i64 i = 0; i < size; i++) {
+            i64 vertex = frontier[i];
+            i64 degree = offsets[vertex + 1] - offsets[vertex];
+            mark[vertex] = 0;
+            if (r[vertex] >= eps * (double)degree)
+                frontier[kept++] = vertex;
+        }
+        i64 *row = stats + 6 * rounds;
+        row[0] = size;
+        row[1] = volume;
+        row[2] = distinct;
+        row[3] = size + distinct - overlap;
+        row[4] = new_p;
+        row[5] = new_r;
+        rounds++;
+        /* Next frontier ascending: sort the fresh targets, then merge them
+         * with the (already ascending) kept frontier from the back. */
+        qsort(targets, (size_t)fresh, sizeof(i64), compare_i64);
+        i64 a = kept - 1, b = fresh - 1;
+        size = kept + fresh;
+        for (i64 out = size - 1; b >= 0; out--)
+            frontier[out] = (a >= 0 && frontier[a] > targets[b]) ? frontier[a--] : targets[b--];
+    }
+    state[0] = size;
+    state[1] = num_p;
+    state[2] = num_r;
+    return rounds;
+}
+
 /* Incremental sweep membership scan (all-integer). */
 void sweep_scan(const i64 *offsets, const i64 *neighbors,
                 const i64 *ordered, const i64 *degrees, i64 n_ordered,
@@ -271,6 +382,10 @@ def _build_library(cc: str) -> Path:
     return library
 
 
+#: rounds per ``ppr_bsp`` call: the per-round stats buffer's length.  The
+#: kernel is resumable, so a longer run simply takes another call.
+_BSP_ROUNDS_PER_CALL = 1024
+
 _I64P = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _F64P = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 _U8P = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
@@ -289,6 +404,15 @@ def _bind(library_path: Path) -> ctypes.CDLL:
         _U8P, _U8P, _U8P,             # in_p, in_r, queued
         _I64P, _I64P, _I64P,          # p_order, r_order, counters
     ]
+    lib.ppr_bsp.restype = _i64
+    lib.ppr_bsp.argtypes = [
+        _I64P, _I64P,                 # offsets, neighbors
+        _f64, _f64, _i64, _i64,       # alpha, eps, optimized, max_rounds
+        _F64P, _F64P, _U8P, _U8P,     # p, r, in_p, in_r
+        _I64P, _I64P, _I64P, _I64P,   # p_keys, r_keys, frontier, targets
+        _F64P, _U8P,                  # acc, mark
+        _I64P, _I64P,                 # state, stats
+    ]
     lib.sweep_scan.restype = None
     lib.sweep_scan.argtypes = [_I64P, _I64P, _I64P, _I64P, _i64, _U8P, _I64P, _I64P]
     lib.walk_filter.restype = _i64
@@ -300,6 +424,12 @@ def _bind(library_path: Path) -> ctypes.CDLL:
 
 def _as_i64(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.int64)
+
+
+def _check_seeds(seeds: np.ndarray, n: int) -> None:
+    """The C loops index by seed unchecked: reject ids outside [0, n)."""
+    if len(seeds) and (seeds.min() < 0 or seeds.max() >= n):
+        raise ValueError(f"seed vertex out of range for a {n}-vertex graph")
 
 
 class CKernels:
@@ -315,6 +445,7 @@ class CKernels:
         neighbors = _as_i64(neighbors)
         seeds = _as_i64(seeds)
         n = len(offsets) - 1
+        _check_seeds(seeds, n)
         p = np.zeros(n, dtype=np.float64)
         r = np.zeros(n, dtype=np.float64)
         in_p = np.zeros(n, dtype=np.uint8)
@@ -335,6 +466,53 @@ class CKernels:
         p_keys = p_order[:num_p].copy()
         r_keys = r_order[:num_r].copy()
         return p_keys, p[p_keys], r_keys, r[r_keys], int(counters[2]), int(counters[3])
+
+    def ppr_bsp(self, offsets, neighbors, seeds, alpha, eps, optimized, max_iterations):
+        """Frontier-synchronous PR-Nibble from unique ascending ``seeds``.
+
+        Returns ``(p_keys, p_values, r_keys, r_values, stats)``: keys
+        ascending, and ``stats`` an int64 ``(rounds, 6)`` array of the
+        per-round counts ``ppr_bsp`` documents, from which callers replay
+        the numpy path's cost records.
+        """
+        offsets = _as_i64(offsets)
+        neighbors = _as_i64(neighbors)
+        seeds = _as_i64(seeds)
+        n = len(offsets) - 1
+        _check_seeds(seeds, n)
+        p = np.zeros(n, dtype=np.float64)
+        r = np.zeros(n, dtype=np.float64)
+        in_p = np.zeros(n, dtype=np.uint8)
+        in_r = np.zeros(n, dtype=np.uint8)
+        p_keys = np.empty(n, dtype=np.int64)
+        r_keys = np.empty(n, dtype=np.int64)
+        frontier = np.empty(n, dtype=np.int64)
+        targets = np.empty(n, dtype=np.int64)
+        acc = np.zeros(n, dtype=np.float64)
+        mark = np.zeros(n, dtype=np.uint8)
+        r[seeds] = 1.0 / len(seeds)
+        in_r[seeds] = 1
+        r_keys[: len(seeds)] = seeds
+        # degree-0 seeds keep their residual but never push
+        start = seeds[offsets[seeds + 1] > offsets[seeds]]
+        frontier[: len(start)] = start
+        state = np.asarray([len(start), 0, len(seeds)], dtype=np.int64)
+        chunks = [np.empty((0, 6), dtype=np.int64)]
+        done = 0
+        while state[0] > 0 and done < max_iterations:
+            budget = min(_BSP_ROUNDS_PER_CALL, max_iterations - done)
+            stats = np.empty((budget, 6), dtype=np.int64)
+            rounds = self._lib.ppr_bsp(
+                offsets, neighbors,
+                float(alpha), float(eps), 1 if optimized else 0, budget,
+                p, r, in_p, in_r, p_keys, r_keys, frontier, targets,
+                acc, mark, state, stats,
+            )
+            chunks.append(stats[:rounds])
+            done += rounds
+        p_keys = np.sort(p_keys[: state[1]])
+        r_keys = np.sort(r_keys[: state[2]])
+        return p_keys, p[p_keys], r_keys, r[r_keys], np.concatenate(chunks)
 
     def sweep_scan(self, offsets, neighbors, ordered, degrees):
         offsets = _as_i64(offsets)

@@ -7,7 +7,7 @@ clustering algorithm and the sweep cut are expressed in terms of them.
 
 from .atomics import combine_duplicates, compare_and_swap, fetch_and_add
 from .compact import filter_array, pack, pack_index
-from .hashtable import IntFloatHashTable
+from .hashtable import IntFloatHashTable, TableCharges
 from .scan import (
     argmin_via_scan,
     exclusive_prefix_sum,
@@ -26,6 +26,7 @@ __all__ = [
     "pack",
     "pack_index",
     "IntFloatHashTable",
+    "TableCharges",
     "argmin_via_scan",
     "exclusive_prefix_sum",
     "prefix_max",

@@ -1,4 +1,4 @@
-"""Vectorised linear-probing hash table — the sparse-set substrate.
+"""Sparse-set table with the cost profile of the paper's concurrent hash table.
 
 The paper's parallel implementations store the ``p``/``r`` vectors in the
 *phase-concurrent* lock-free hash table of Shun & Blelloch [42]: linear
@@ -7,14 +7,22 @@ sized proportionally to the number of stored elements so a batch of N
 inserts/searches costs O(N) work and O(log N) depth w.h.p. (Section 2,
 "Sparse Sets").
 
-:class:`IntFloatHashTable` is the bulk-synchronous realisation of that
-structure: int64 keys, float64 values, power-of-two capacity, Fibonacci
-hashing, and *batched* operations.  A batch insert performs the same probe
-sequence as N concurrent threads would — each round every unresolved key
-inspects its current slot, matching keys resolve, one claimant per empty
-slot wins (the vectorised analogue of a successful CAS), losers advance to
-the next slot — so the layout it produces is a valid linear-probing layout
-and the cost per batch matches the paper's bounds.
+Two pieces realise that structure here:
+
+* :class:`TableCharges` is the cost model alone: the table's power-of-two
+  capacity (load factor at most 1/2, grown 4x past it, starting at 8) and
+  the work/depth each batch charges, computed from counts — batch sizes
+  and how many keys each batch adds.  It is the one owner of the growth
+  policy; the table below and the compiled kernels' replays
+  (:mod:`repro.core.pr_nibble`, :mod:`repro.core.sweep`) both charge
+  through it, so a compiled run records the same profile as this table.
+* :class:`IntFloatHashTable` stores the entries: int64 keys, float64
+  values, kept **key-sorted**, so batched lookups and inserts are
+  ``searchsorted`` and a merge with no probe loop, and :meth:`items`
+  returns entries in ascending key order — the order a compiled kernel
+  reproduces by sorting its touched keys.  The recorded charges still
+  model the paper's hash table, not this layout, so Figures 9–10 are
+  unchanged by it.
 
 Keys must be non-negative (vertex identifiers).  The zero element ``⊥`` of
 the paper's sparse sets is ``0.0``: looking up an absent key yields 0.0.
@@ -27,10 +35,8 @@ import numpy as np
 
 from ..runtime import log2ceil, record
 
-__all__ = ["IntFloatHashTable"]
+__all__ = ["IntFloatHashTable", "TableCharges"]
 
-_EMPTY = np.int64(-1)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # Fibonacci hashing multiplier
 _MIN_CAPACITY = 8
 
 
@@ -41,132 +47,118 @@ def _next_pow2(n: int) -> int:
     return power
 
 
-class IntFloatHashTable:
-    """Open-addressing int64 -> float64 map with batched vectorised ops."""
+class TableCharges:
+    """Capacity and work/depth charges of the paper's hash table, from counts.
 
-    __slots__ = ("_keys", "_vals", "_size", "_log_cap")
+    ``insert(batch, new)`` charges one batch of ``batch`` distinct keys of
+    which ``new`` were absent: when the batch could push the load factor
+    past 1/2 the table first grows to ``4 * (size + batch)`` slots (rounded
+    up to a power of two) and re-inserts its live keys, then the batch
+    itself is charged.  ``lookup(batch)`` charges a batch of searches and
+    ``scan()`` a pass over every slot.
+    """
+
+    __slots__ = ("capacity", "size")
 
     def __init__(self, capacity_hint: int = 0) -> None:
-        capacity = _next_pow2(max(_MIN_CAPACITY, 2 * capacity_hint))
-        self._allocate(capacity)
+        self.capacity = _next_pow2(max(_MIN_CAPACITY, 2 * capacity_hint))
+        self.size = 0
 
-    def _allocate(self, capacity: int) -> None:
-        self._keys = np.full(capacity, _EMPTY, dtype=np.int64)
-        self._vals = np.zeros(capacity, dtype=np.float64)
-        self._size = 0
-        self._log_cap = int(capacity).bit_length() - 1
+    def insert(self, batch: int, new: int) -> None:
+        if batch == 0:
+            return
+        needed = self.size + batch
+        if 2 * needed > self.capacity:
+            self.capacity = _next_pow2(4 * needed)
+            if self.size > 0:
+                record(work=self.size, depth=log2ceil(self.size), category="hash")
+        record(work=batch, depth=log2ceil(batch), category="hash")
+        self.size += new
+
+    def lookup(self, batch: int) -> None:
+        if batch > 0:
+            record(work=batch, depth=log2ceil(batch), category="hash")
+
+    def scan(self) -> None:
+        record(work=self.capacity, depth=log2ceil(self.capacity), category="hash")
+
+
+class IntFloatHashTable:
+    """Key-sorted int64 -> float64 map with batched vectorised ops."""
+
+    __slots__ = ("_keys", "_vals", "_charges")
+
+    def __init__(self, capacity_hint: int = 0) -> None:
+        self._keys = np.empty(0, dtype=np.int64)
+        self._vals = np.empty(0, dtype=np.float64)
+        self._charges = TableCharges(capacity_hint)
+
+    @classmethod
+    def from_sorted(
+        cls, keys: np.ndarray, values: np.ndarray, charges: TableCharges
+    ) -> "IntFloatHashTable":
+        """Adopt strictly ascending ``keys`` and their ``values`` as-is.
+
+        Records nothing: the caller has already charged the inserts that
+        built these entries to ``charges`` (a compiled kernel's replay).
+        """
+        if len(keys) != charges.size:
+            raise ValueError("charges must account for exactly the adopted keys")
+        table = cls.__new__(cls)
+        table._keys = np.asarray(keys, dtype=np.int64)
+        table._vals = np.asarray(values, dtype=np.float64)
+        table._charges = charges
+        return table
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self._size
+        return len(self._keys)
 
     @property
     def capacity(self) -> int:
-        return len(self._keys)
+        """Slots of the modelled hash table (load factor at most 1/2)."""
+        return self._charges.capacity
 
     def __contains__(self, key: int) -> bool:
-        slot = self._lookup_slots(np.asarray([key], dtype=np.int64))[0]
-        return slot >= 0
+        self._charges.lookup(1)
+        return bool(self._search(np.asarray([key], dtype=np.int64))[1][0])
 
     def items(self) -> tuple[np.ndarray, np.ndarray]:
-        """Occupied ``(keys, values)`` arrays, in table (arbitrary) order."""
-        occupied = self._keys != _EMPTY
-        record(work=self.capacity, depth=log2ceil(self.capacity), category="hash")
-        return self._keys[occupied].copy(), self._vals[occupied].copy()
+        """``(keys, values)`` arrays over stored entries, keys ascending."""
+        self._charges.scan()
+        return self._keys.copy(), self._vals.copy()
 
     def clear(self) -> None:
-        self._allocate(_MIN_CAPACITY)
+        self._keys = np.empty(0, dtype=np.int64)
+        self._vals = np.empty(0, dtype=np.float64)
+        self._charges = TableCharges()
 
     # ------------------------------------------------------------------
-    # Hashing and probing
+    # Search and insert
     # ------------------------------------------------------------------
-    def _hash(self, keys: np.ndarray) -> np.ndarray:
-        shift = np.uint64(64 - self._log_cap)
-        with np.errstate(over="ignore"):
-            mixed = keys.astype(np.uint64) * _GOLDEN
-        return (mixed >> shift).astype(np.int64)
+    def _search(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Insertion point of each key in the sorted arrays, and whether
+        the key is stored there.  Keys need not be unique."""
+        positions = np.searchsorted(self._keys, keys)
+        found = positions < len(self._keys)
+        found[found] = self._keys[positions[found]] == keys[found]
+        return positions, found
 
-    def _lookup_slots(self, keys: np.ndarray) -> np.ndarray:
-        """Slot of each key, or -1 where absent.  Keys need not be unique."""
-        n = len(keys)
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        record(work=n, depth=log2ceil(n), category="hash")
-        mask = self.capacity - 1
-        slots = self._hash(keys)
-        result = np.full(n, -1, dtype=np.int64)
-        pending = np.arange(n, dtype=np.int64)
-        for _ in range(self.capacity + 1):
-            if len(pending) == 0:
-                return result
-            probe = slots[pending]
-            stored = self._keys[probe]
-            wanted = keys[pending]
-            hit = stored == wanted
-            miss = stored == _EMPTY
-            result[pending[hit]] = probe[hit]
-            # keys that hit an empty slot are absent; they resolve to -1
-            unresolved = ~(hit | miss)
-            pending = pending[unresolved]
-            slots[pending] = (slots[pending] + 1) & mask
-        raise RuntimeError("hash table probe did not terminate")  # pragma: no cover
-
-    def _insert_slots(self, keys: np.ndarray) -> np.ndarray:
-        """Find-or-claim a slot for each of a batch of *unique* keys.
-
-        Mirrors N concurrent lock-free inserts: per round, matches resolve,
-        one winner claims each empty slot (CAS analogue), losers retry at
-        the next slot.  Newly claimed slots hold value 0.0 (the paper's
-        ``⊥`` element).
-        """
-        n = len(keys)
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        self._ensure_room(n)
-        record(work=n, depth=log2ceil(n), category="hash")
-        mask = self.capacity - 1
-        slots = self._hash(keys)
-        result = np.full(n, -1, dtype=np.int64)
-        pending = np.arange(n, dtype=np.int64)
-        for _ in range(self.capacity + 1):
-            if len(pending) == 0:
-                return result
-            probe = slots[pending]
-            stored = self._keys[probe]
-            wanted = keys[pending]
-            hit = stored == wanted
-            result[pending[hit]] = probe[hit]
-            empty = stored == _EMPTY
-            if empty.any():
-                empty_slots = probe[empty]
-                empty_pending = pending[empty]
-                # One claimant per distinct empty slot (first occurrence wins,
-                # like the first successful compare-and-swap).
-                winner_slots, winner_pos = np.unique(empty_slots, return_index=True)
-                winners = empty_pending[winner_pos]
-                self._keys[winner_slots] = keys[winners]
-                result[winners] = winner_slots
-                self._size += len(winner_slots)
-            unresolved = result[pending] < 0
-            pending = pending[unresolved]
-            slots[pending] = (slots[pending] + 1) & mask
-        raise RuntimeError("hash table insert did not terminate")  # pragma: no cover
-
-    def _ensure_room(self, incoming: int) -> None:
-        """Grow so that load factor stays at most 1/2 after ``incoming`` inserts."""
-        needed = self._size + incoming
-        if 2 * needed <= self.capacity:
-            return
-        old_keys = self._keys
-        old_vals = self._vals
-        occupied = old_keys != _EMPTY
-        self._allocate(_next_pow2(4 * max(needed, 1)))
-        live_keys = old_keys[occupied]
-        if len(live_keys) > 0:
-            slots = self._insert_slots(live_keys)
-            self._vals[slots] = old_vals[occupied]
+    def _insert(self, keys: np.ndarray) -> np.ndarray:
+        """Find-or-create the entry of each of a batch of *sorted unique*
+        keys; returns their indices.  New entries hold 0.0 (``⊥``)."""
+        positions, found = self._search(keys)
+        new = ~found
+        self._charges.insert(len(keys), int(new.sum()))
+        if not new.any():
+            return positions
+        at = positions[new]
+        self._keys = np.insert(self._keys, at, keys[new])
+        self._vals = np.insert(self._vals, at, 0.0)
+        # every earlier new key of the batch shifts this one right by one
+        return positions + np.cumsum(new) - new
 
     # ------------------------------------------------------------------
     # Batched operations
@@ -174,18 +166,18 @@ class IntFloatHashTable:
     def lookup(self, keys: np.ndarray, default: float = 0.0) -> np.ndarray:
         """Values for ``keys``; absent keys read as ``default`` (``⊥``)."""
         keys = np.asarray(keys, dtype=np.int64)
-        slots = self._lookup_slots(keys)
+        self._charges.lookup(len(keys))
+        positions, found = self._search(keys)
         values = np.full(len(keys), default, dtype=np.float64)
-        found = slots >= 0
-        values[found] = self._vals[slots[found]]
+        values[found] = self._vals[positions[found]]
         return values
 
     def accumulate(self, keys: np.ndarray, deltas: np.ndarray | float) -> None:
         """Batch fetch-and-add: ``table[k] += delta`` with duplicates summed.
 
-        Colliding updates are pre-combined (sort + segmented sum) and then
-        applied once per distinct key — the deterministic equivalent of the
-        paper's concurrent fetch-and-adds into the table.
+        Colliding updates are pre-combined (sort + segmented sum, in batch
+        order) and then applied once per distinct key — the deterministic
+        equivalent of the paper's concurrent fetch-and-adds into the table.
         """
         keys = np.asarray(keys, dtype=np.int64)
         if len(keys) == 0:
@@ -193,8 +185,8 @@ class IntFloatHashTable:
         deltas = np.broadcast_to(np.asarray(deltas, dtype=np.float64), keys.shape)
         unique, inverse = np.unique(keys, return_inverse=True)
         sums = np.bincount(inverse, weights=deltas, minlength=len(unique))
-        slots = self._insert_slots(unique)
-        self._vals[slots] += sums
+        positions = self._insert(unique)  # may rebind self._vals
+        self._vals[positions] += sums
 
     def assign(self, keys: np.ndarray, values: np.ndarray | float) -> None:
         """Batch store ``table[k] = value``; duplicate keys take the last value."""
@@ -203,9 +195,8 @@ class IntFloatHashTable:
             return
         values = np.broadcast_to(np.asarray(values, dtype=np.float64), keys.shape)
         unique, last_index = np.unique(keys[::-1], return_index=True)
-        last_values = values[::-1][last_index]
-        slots = self._insert_slots(unique)
-        self._vals[slots] = last_values
+        positions = self._insert(unique)
+        self._vals[positions] = values[::-1][last_index]
 
     # ------------------------------------------------------------------
     # Scalar convenience operations
@@ -214,9 +205,9 @@ class IntFloatHashTable:
         return float(self.lookup(np.asarray([key], dtype=np.int64), default=default)[0])
 
     def set_one(self, key: int, value: float) -> None:
-        slot = self._insert_slots(np.asarray([key], dtype=np.int64))[0]
-        self._vals[slot] = value
+        position = self._insert(np.asarray([key], dtype=np.int64))[0]
+        self._vals[position] = value
 
     def add_one(self, key: int, delta: float) -> None:
-        slot = self._insert_slots(np.asarray([key], dtype=np.int64))[0]
-        self._vals[slot] += delta
+        position = self._insert(np.asarray([key], dtype=np.int64))[0]
+        self._vals[position] += delta

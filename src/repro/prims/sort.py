@@ -20,7 +20,13 @@ import numpy as np
 
 from ..runtime import log2ceil, record
 
-__all__ = ["comparison_sort", "comparison_sort_order", "integer_sort", "integer_sort_order"]
+__all__ = [
+    "charge_integer_sort",
+    "comparison_sort",
+    "comparison_sort_order",
+    "integer_sort",
+    "integer_sort_order",
+]
 
 _RADIX_BITS = 11
 _RADIX = 1 << _RADIX_BITS
@@ -56,6 +62,13 @@ def _digit_passes(max_key: int) -> int:
     return passes
 
 
+def charge_integer_sort(n: int, max_key: int) -> None:
+    """Record the cost of integer-sorting ``n`` keys in ``[0, max_key]``:
+    O(passes * (N + radix)) work, O(passes * log N) depth."""
+    passes = _digit_passes(max_key)
+    record(work=passes * (n + _RADIX), depth=passes * log2ceil(n), category="sort")
+
+
 def integer_sort_order(keys: np.ndarray, max_key: int | None = None) -> np.ndarray:
     """Stable permutation sorting non-negative integer ``keys`` ascending.
 
@@ -75,7 +88,7 @@ def integer_sort_order(keys: np.ndarray, max_key: int | None = None) -> np.ndarr
         max_key = int(keys.max())
     n = len(keys)
     passes = _digit_passes(max_key)
-    record(work=passes * (n + _RADIX), depth=passes * log2ceil(n), category="sort")
+    charge_integer_sort(n, max_key)
 
     order = np.arange(n, dtype=np.int64)
     remaining = keys.astype(np.int64, copy=True)

@@ -11,9 +11,12 @@ Two realisations:
 
 * :class:`SparseDict` — a plain ``dict`` wrapper, the analogue of STL's
   ``unordered_map``, used by the sequential reference algorithms.
-* :class:`SparseVector` — backed by the batched linear-probing table in
+* :class:`SparseVector` — backed by the batched table in
   :mod:`repro.prims.hashtable`, the analogue of the concurrent table of
-  [42], used by the parallel (bulk-synchronous) algorithms.
+  [42], used by the parallel (bulk-synchronous) algorithms.  Entries are
+  stored key-sorted, so every whole-set view lists keys in ascending
+  order; the recorded work/depth charges still model the paper's hash
+  table.
 
 Both never allocate Θ(|V|) memory: size is proportional to the number of
 touched vertices, which is what makes the algorithms *local*.
@@ -25,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .hashtable import IntFloatHashTable
+from .hashtable import IntFloatHashTable, TableCharges
 
 __all__ = ["SparseDict", "SparseVector"]
 
@@ -104,6 +107,16 @@ class SparseVector:
         return vector
 
     @classmethod
+    def from_sorted(
+        cls, keys: np.ndarray, values: np.ndarray, charges: TableCharges
+    ) -> "SparseVector":
+        """Adopt ascending ``keys``/``values`` whose inserts ``charges``
+        already accounted for; records nothing (a compiled kernel's result)."""
+        vector = cls.__new__(cls)
+        vector._table = IntFloatHashTable.from_sorted(keys, values, charges)
+        return vector
+
+    @classmethod
     def from_dict(cls, data: dict[int, float]) -> "SparseVector":
         keys = np.fromiter(data.keys(), dtype=np.int64, count=len(data))
         values = np.fromiter(data.values(), dtype=np.float64, count=len(data))
@@ -146,12 +159,12 @@ class SparseVector:
     # Whole-set views
     # ------------------------------------------------------------------
     def keys(self) -> np.ndarray:
-        """Stored keys, in arbitrary (table) order."""
+        """Stored keys, ascending."""
         keys, _ = self._table.items()
         return keys
 
     def items(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(keys, values)`` arrays over stored entries."""
+        """``(keys, values)`` arrays over stored entries, keys ascending."""
         return self._table.items()
 
     def to_dict(self) -> dict[int, float]:

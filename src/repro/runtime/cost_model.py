@@ -190,7 +190,7 @@ class CostModel:
             if static is not None and static > 0.0:
                 self._global.observe(seconds / static)
 
-    def calibration_factor(self, method: str, kernel: str | None) -> float | None:
+    def calibration_factor(self, method: str, kernel: str) -> float | None:
         """Seconds-per-raw-unit for the key, normalised to static units.
 
         Returns ``None`` until the key has been observed (callers fall back
@@ -199,7 +199,7 @@ class CostModel:
         expressed in static-estimate units.
         """
         with self._lock:
-            ewma = self._per_key.get((method, kernel or "python"))
+            ewma = self._per_key.get((method, kernel))
             if ewma is None or ewma.count == 0:
                 return None
             if self._global.count == 0 or self._global.value <= 0.0:

@@ -1,7 +1,7 @@
 """Unit tests for the kernel plane's selection machinery (repro.kernels).
 
-The contract: ``kernel=None`` is exactly the historical Python behaviour,
-``"auto"`` degrades gracefully (never raises, silently picks ``"python"``
+The contract: ``kernel=None`` (the default) resolves like ``"auto"``,
+which degrades gracefully (never raises, silently picks ``"python"``
 when no compiled backend exists), explicitly requesting an unavailable
 backend fails loudly with an actionable message, and unknown names are a
 ``ValueError`` everywhere the knob surfaces (core, engine, serve, CLI).
@@ -19,7 +19,12 @@ import pytest
 
 import repro.kernels as kernels_mod
 from repro.engine import BatchEngine, DiffusionJob
-from repro.engine.scheduler import KERNEL_COST_SCALE, estimate_cost, kernel_cost_scale
+from repro.engine.scheduler import (
+    KERNEL_COST_SCALE,
+    estimate_cost,
+    kernel_cost_scale,
+    resolved_kernel_name,
+)
 from repro.graph import CSRGraph, ShardedCSR, barbell_graph
 from repro.kernels import (
     KERNELS,
@@ -30,6 +35,7 @@ from repro.kernels import (
     get_kernels,
     resolve_kernel,
 )
+from repro.runtime.cost_model import CostModel
 
 
 def simulate(monkeypatch, available: tuple[str, ...]) -> None:
@@ -48,9 +54,15 @@ def simulate(monkeypatch, available: tuple[str, ...]) -> None:
 
 
 class TestResolveKernel:
-    def test_none_and_python_mean_python(self):
-        assert resolve_kernel(None) == "python"
+    def test_none_means_auto_and_python_means_python(self):
+        assert resolve_kernel(None) == resolve_kernel("auto")
         assert resolve_kernel("python") == "python"
+
+    def test_none_follows_availability(self, monkeypatch):
+        simulate(monkeypatch, ("c",))
+        assert resolve_kernel(None) == "c"
+        simulate(monkeypatch, ())
+        assert resolve_kernel(None) == "python"
 
     def test_unknown_kernel_raises_value_error(self):
         with pytest.raises(ValueError, match="unknown kernel"):
@@ -165,9 +177,29 @@ class TestExtraCflags:
 
 
 class TestSchedulerScale:
-    def test_python_and_none_scale_is_unity(self):
+    def test_python_and_none_scale_is_unity(self, monkeypatch):
+        # None scales at unity where it resolves to python: no compiler.
+        simulate(monkeypatch, ())
         assert kernel_cost_scale(None) == 1.0
         assert kernel_cost_scale("python") == 1.0
+
+    @pytest.mark.parametrize("available", [("c",), ()])
+    def test_default_job_keys_and_scales_like_resolved_default(
+        self, monkeypatch, available
+    ):
+        simulate(monkeypatch, available)
+        default = resolve_kernel(None)
+        params = {"alpha": 0.05, "eps": 1e-6}
+        assert resolved_kernel_name(None) == default
+        assert kernel_cost_scale(None) == KERNEL_COST_SCALE[default]
+        assert estimate_cost(DiffusionJob.make(0, params=params)) == estimate_cost(
+            DiffusionJob.make(0, params=params, kernel=default)
+        )
+        model = CostModel()
+        model.observe(
+            "pr-nibble", resolved_kernel_name(None), 1.0, 1e-6, static=1.0
+        )
+        assert list(model.snapshot()) == [f"pr-nibble/{default}"]
 
     def test_compiled_kernels_scale_below_unity(self, monkeypatch):
         simulate(monkeypatch, ("c",))
@@ -180,7 +212,9 @@ class TestSchedulerScale:
 
     def test_estimate_cost_scales_by_job_kernel(self, monkeypatch):
         simulate(monkeypatch, ("c",))
-        python_job = DiffusionJob.make(0, params={"alpha": 0.05, "eps": 1e-6})
+        python_job = DiffusionJob.make(
+            0, params={"alpha": 0.05, "eps": 1e-6}, kernel="python"
+        )
         compiled_job = DiffusionJob.make(
             0, params={"alpha": 0.05, "eps": 1e-6}, kernel="c"
         )
@@ -208,14 +242,26 @@ class TestKnobSurfaces:
             local_cluster(barbell_graph(4), 0, kernel="fortran")
 
     def test_parallel_paths_validate_but_ignore(self):
-        # The BSP diffusions and the parallel sweep have no compiled twin;
-        # the knob must still be validated there, not silently dropped.
+        # BSP Nibble and HK-PR have no compiled twin; the knob must still
+        # be validated on every parallel path, not silently dropped.
         from repro import local_cluster
 
         with pytest.raises(ValueError, match="unknown kernel"):
             local_cluster(barbell_graph(4), 0, parallel=True, kernel="fortran")
         result = local_cluster(barbell_graph(4), 0, parallel=True, kernel="auto")
         assert result.size > 0
+
+    @pytest.mark.skipif("c" not in available_kernels(), reason="no C compiler")
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_c_rejects_out_of_range_seeds(self, parallel):
+        # The C loops index by seed unchecked; the wrapper must refuse
+        # ids outside [0, n) before any pointer reaches them.
+        from repro.core import pr_nibble
+
+        graph = barbell_graph(6)
+        for seeds in ([-1, 3], [graph.num_vertices]):
+            with pytest.raises(ValueError, match="out of range"):
+                pr_nibble(graph, seeds, parallel=parallel, kernel="c")
 
     def test_methods_without_twins_accept_the_knob(self):
         from repro import local_cluster

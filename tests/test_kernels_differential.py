@@ -13,9 +13,14 @@ bug, never a tolerance question.  Checked per case:
   process boundaries);
 * the sweep profile: order, volumes, cuts, conductances, best index;
 * the counters: pushes, touched edges;
-* the recorded work/depth profile (cost accounting must not depend on
-  the kernel, or cache entries would disagree);
+* the recorded work/depth profile — every category's work and depth and
+  the round count, which Figures 9-10 read (cost accounting must not
+  depend on the kernel, or cache entries would disagree);
 * rand-HK-PR walks: same rng seed => same destination histogram.
+
+The frontier-synchronous (BSP) PR-Nibble and the parallel sweep are
+compared the same way against the numpy rounds, plus ``residual_mass``
+and the per-round frontier sizes.
 
 On hosts with no compiled backend the cross-kernel cases skip, but the
 array-twin cases (``repro.kernels.reference`` vs the object-level core
@@ -39,7 +44,7 @@ from repro.core import (
 )
 from repro.core.result import vector_items
 from repro.core.sweep import sweep_order
-from repro.graph import ShardedCSR, barbell_graph, from_edge_list
+from repro.graph import ShardedCSR, barbell_graph, from_edge_list, rand_local
 from repro.kernels import available_kernels, reference
 from repro.runtime import track
 
@@ -90,6 +95,13 @@ def assert_residuals_identical(a, b):
     assert np.array_equal(a_keys, b_keys), "r entry order diverged"
     assert np.array_equal(a_values, b_values), "r values diverged"
     assert a.extras["residual_mass"] == b.extras["residual_mass"]
+
+
+def assert_profiles_identical(a, b):
+    """Same per-category work/depth (in recording order) and rounds."""
+    assert list(a.snapshot().items()) == list(b.snapshot().items())
+    assert a.rounds == b.rounds
+    assert a.work == b.work and a.depth == b.depth
 
 
 def assert_sweeps_identical(a, b):
@@ -161,8 +173,7 @@ class TestPRNibbleDifferential:
             compiled = pr_nibble(graph, seed, params, parallel=False, kernel=kernel)
         assert_diffusions_identical(python, compiled)
         assert_residuals_identical(python, compiled)
-        assert k_profile.work == py_profile.work
-        assert k_profile.depth == py_profile.depth
+        assert_profiles_identical(k_profile, py_profile)
 
     @compiled_kernels
     @settings(max_examples=15, deadline=None)
@@ -174,10 +185,13 @@ class TestPRNibbleDifferential:
         if len(seeds) == 0:
             return
         params = PRNibbleParams(alpha=0.1, eps=1e-4)
-        python = pr_nibble(graph, seeds, params, parallel=False, kernel="python")
-        compiled = pr_nibble(graph, seeds, params, parallel=False, kernel=kernel)
+        with track() as py_profile:
+            python = pr_nibble(graph, seeds, params, parallel=False, kernel="python")
+        with track() as k_profile:
+            compiled = pr_nibble(graph, seeds, params, parallel=False, kernel=kernel)
         assert_diffusions_identical(python, compiled)
         assert_residuals_identical(python, compiled)
+        assert_profiles_identical(k_profile, py_profile)
 
 
 class TestSweepDifferential:
@@ -197,8 +211,85 @@ class TestSweepDifferential:
         with track() as k_profile:
             compiled = sweep_cut(graph, result.vector, parallel=False, kernel=kernel)
         assert_sweeps_identical(python, compiled)
-        assert k_profile.work == py_profile.work
-        assert k_profile.depth == py_profile.depth
+        assert_profiles_identical(k_profile, py_profile)
+
+
+bsp_params = st.builds(
+    PRNibbleParams,
+    alpha=st.sampled_from([0.05, 0.1, 0.2]),
+    eps=st.sampled_from([1e-3, 1e-4, 1e-5]),
+    optimized=st.booleans(),
+    max_iterations=st.sampled_from([1, 2, 5, 10**9]),
+)
+
+
+def run_bsp(graph, seeds, params, kernel):
+    """BSP PR-Nibble then the parallel sweep, profiled together."""
+    with track() as profile:
+        diffusion = pr_nibble(graph, seeds, params, parallel=True, kernel=kernel)
+        sweep = (
+            sweep_cut(graph, diffusion.vector, parallel=True, kernel=kernel)
+            if diffusion.support_size() > 0
+            else None
+        )
+    return diffusion, sweep, profile
+
+
+def assert_bsp_runs_identical(a, b):
+    (a_diffusion, a_sweep, a_profile), (b_diffusion, b_sweep, b_profile) = a, b
+    assert_diffusions_identical(a_diffusion, b_diffusion)
+    assert_residuals_identical(a_diffusion, b_diffusion)
+    assert a_diffusion.extras["frontier_sizes"] == b_diffusion.extras["frontier_sizes"]
+    assert (a_sweep is None) == (b_sweep is None)
+    if a_sweep is not None:
+        assert_sweeps_identical(a_sweep, b_sweep)
+    assert_profiles_identical(a_profile, b_profile)
+
+
+class TestBSPDifferential:
+    """Frontier-synchronous PR-Nibble + the parallel sweep: the compiled
+    twins against the numpy rounds (``kernel="python"``)."""
+
+    @compiled_kernels
+    @settings(max_examples=60, deadline=None)
+    @given(edge_lists, st.sets(st.integers(0, 24), min_size=1, max_size=4), bsp_params)
+    def test_bit_identical_rounds_vectors_sweep_and_profile(
+        self, kernel, edges, seed_set, params
+    ):
+        # Seeds are drawn from all 25 ids, so degree-0 seeds (isolated
+        # ids) occur alongside connected ones and on their own.
+        graph = from_edge_list(edges, num_vertices=25)
+        seeds = np.asarray(sorted(seed_set), dtype=np.int64)
+        assert_bsp_runs_identical(
+            run_bsp(graph, seeds, params, "python"),
+            run_bsp(graph, seeds, params, kernel),
+        )
+
+    @compiled_kernels
+    @pytest.mark.parametrize("optimized", [True, False])
+    def test_wide_frontiers_across_kernel_calls(self, kernel, optimized, monkeypatch):
+        # Thousands of vertices per frontier (the sort-and-merge of the
+        # next frontier, several table growths) and a 3-round call budget,
+        # so the kernel resumes from its own state many times.
+        from repro.kernels import _ckernels
+
+        monkeypatch.setattr(_ckernels, "_BSP_ROUNDS_PER_CALL", 3)
+        graph = rand_local(3000, 5, seed=1)
+        params = PRNibbleParams(alpha=0.05, eps=1e-6, optimized=optimized)
+        seeds = np.asarray([7, 1500], dtype=np.int64)
+        python = run_bsp(graph, seeds, params, "python")
+        compiled = run_bsp(graph, seeds, params, kernel)
+        assert python[0].iterations > 3
+        assert max(python[0].extras["frontier_sizes"]) > 1000
+        assert_bsp_runs_identical(python, compiled)
+
+    @compiled_kernels
+    def test_default_kernel_runs_the_compiled_twin(self, kernel):
+        graph = barbell_graph(8)
+        params = PRNibbleParams(alpha=0.1, eps=1e-5)
+        assert_bsp_runs_identical(
+            run_bsp(graph, 0, params, None), run_bsp(graph, 0, params, kernel)
+        )
 
 
 class TestRandWalkDifferential:
@@ -211,13 +302,16 @@ class TestRandWalkDifferential:
         if seed is None:
             return
         params = RandHKPRParams(t=3.0, max_walk_length=6, num_walks=200)
-        python = rand_hk_pr(
-            graph, seed, params, parallel=True, rng=rng_seed, kernel="python"
-        )
-        compiled = rand_hk_pr(
-            graph, seed, params, parallel=True, rng=rng_seed, kernel=kernel
-        )
+        with track() as py_profile:
+            python = rand_hk_pr(
+                graph, seed, params, parallel=True, rng=rng_seed, kernel="python"
+            )
+        with track() as k_profile:
+            compiled = rand_hk_pr(
+                graph, seed, params, parallel=True, rng=rng_seed, kernel=kernel
+            )
         assert_diffusions_identical(python, compiled)
+        assert_profiles_identical(k_profile, py_profile)
 
 
 class TestShardEscalation:
@@ -265,4 +359,27 @@ class TestShardEscalation:
                 shard = run_job(view, job, parallel=False, include_vector=True)
         assert np.array_equal(whole.vector_keys, shard.vector_keys)
         assert np.array_equal(whole.vector_values, shard.vector_values)
+        assert whole.work == shard.work and whole.depth == shard.depth
+
+    @compiled_kernels
+    @settings(max_examples=10, deadline=None)
+    @given(edge_lists)
+    def test_bsp_whole_graph_twin_matches_shard_view(self, kernel, edges):
+        # A shard view runs the numpy rounds; the whole graph the twin.
+        from repro.engine import DiffusionJob
+        from repro.engine.executor import run_job
+
+        graph = from_edge_list(edges, num_vertices=25)
+        seed = _connected_seed(graph)
+        if seed is None:
+            return
+        job = DiffusionJob.make(seed, params={"alpha": 0.1, "eps": 1e-4}, kernel=kernel)
+        whole = run_job(graph, job, parallel=True, include_vector=True)
+        with ShardedCSR.create(graph, shards=2) as sharded:
+            with sharded.view() as view:
+                shard = run_job(view, job, parallel=True, include_vector=True)
+        assert np.array_equal(whole.vector_keys, shard.vector_keys)
+        assert np.array_equal(whole.vector_values, shard.vector_values)
+        assert whole.residual_mass == shard.residual_mass
+        assert whole.conductance == shard.conductance
         assert whole.work == shard.work and whole.depth == shard.depth

@@ -151,7 +151,7 @@ class TestSchedulerBalance:
     # the classes, which is where an unscaled estimator misbalances.
     def _mixed_jobs(self):
         python = [
-            DiffusionJob.make(i, params={"alpha": 0.05, "eps": 1e-5})
+            DiffusionJob.make(i, params={"alpha": 0.05, "eps": 1e-5}, kernel="python")
             for i in range(2)
         ]
         compiled = [
@@ -170,8 +170,10 @@ class TestSchedulerBalance:
 
     @staticmethod
     def _unscaled(job):
-        # The pre-kernel estimator: same params, kernel annotation dropped.
-        return estimate_cost(DiffusionJob.make(job.seeds, params=job.params))
+        # The pre-kernel estimator: same params, every job costed as Python.
+        return estimate_cost(
+            DiffusionJob.make(job.seeds, params=job.params, kernel="python")
+        )
 
     def test_scaled_plan_balances_wall_time(self, monkeypatch):
         self._force_c_available(monkeypatch)

@@ -1,8 +1,11 @@
-"""Tests for the vectorised linear-probing hash table (repro.prims.hashtable).
+"""Tests for the sparse-set table (repro.prims.hashtable).
 
 The table is checked against a plain dict model, including under randomised
 operation sequences (the hypothesis tests), heavy collision loads and
-growth.
+growth.  Its entries are stored key-sorted while its recorded charges model
+the paper's hash table; the golden profiles below pin those charges to the
+values the earlier linear-probing table recorded, so Figures 9-10 are
+unchanged by the layout.
 """
 
 from __future__ import annotations
@@ -12,7 +15,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.prims import IntFloatHashTable
+from repro.core import (
+    HKPRParams,
+    NibbleParams,
+    PRNibbleParams,
+    hk_pr,
+    nibble,
+    pr_nibble,
+    sweep_cut,
+)
+from repro.graph import rand_local
+from repro.prims import IntFloatHashTable, TableCharges
+from repro.runtime import track
 
 keys_strategy = st.lists(st.integers(min_value=0, max_value=2**50), min_size=0, max_size=200)
 
@@ -170,3 +184,119 @@ class TestAgainstDictModel:
                 want = [model.get(k, 0.0) for k in key_list]
                 assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-12)
         assert len(table) == len(model)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["accumulate", "assign", "add_one", "set_one"]),
+                st.lists(st.integers(0, 2**40), min_size=1, max_size=60),
+            ),
+            max_size=25,
+        )
+    )
+    def test_items_key_ascending_and_match_dict(self, operations):
+        # Any insertion history, including ones that grow the table many
+        # times past the minimum capacity.
+        table = IntFloatHashTable()
+        model: dict[int, float] = {}
+        for op, key_list in operations:
+            keys = np.asarray(key_list, dtype=np.int64)
+            values = np.asarray([float(k % 97) + 0.5 for k in key_list])
+            if op == "accumulate":
+                table.accumulate(keys, values)
+                for k, v in zip(key_list, values.tolist()):
+                    model[k] = model.get(k, 0.0) + v
+            elif op == "assign":
+                table.assign(keys, values)
+                model.update(zip(key_list, values.tolist()))
+            elif op == "add_one":
+                table.add_one(key_list[0], float(values[0]))
+                model[key_list[0]] = model.get(key_list[0], 0.0) + float(values[0])
+            else:
+                table.set_one(key_list[0], float(values[0]))
+                model[key_list[0]] = float(values[0])
+            assert 2 * len(table) <= table.capacity
+        keys, values = table.items()
+        assert keys.tolist() == sorted(model)
+        assert values.tolist() == pytest.approx([model[k] for k in sorted(model)])
+
+
+class TestTableCharges:
+    def test_growth_policy_from_counts(self):
+        charges = TableCharges()
+        assert charges.capacity == 8
+        charges.insert(4, 4)  # 2 * (0 + 4) <= 8: no growth
+        assert (charges.capacity, charges.size) == (8, 4)
+        charges.insert(3, 1)  # 2 * (4 + 3) > 8: grow to next_pow2(28)
+        assert (charges.capacity, charges.size) == (32, 5)
+
+    def test_table_charges_what_its_accountant_charges(self):
+        with track() as table_profile:
+            table = IntFloatHashTable(capacity_hint=3)
+            table.assign(np.arange(6), 1.0)
+            table.accumulate(np.asarray([2, 9, 9, 40]), 1.0)
+            table.lookup(np.arange(10))
+            table.items()
+        with track() as replay_profile:
+            charges = TableCharges(3)
+            charges.insert(6, 6)
+            charges.insert(3, 2)
+            charges.lookup(10)
+            charges.scan()
+        assert table.capacity == charges.capacity and len(table) == charges.size
+        assert table_profile.snapshot() == replay_profile.snapshot()
+        assert table_profile.rounds == replay_profile.rounds
+
+
+#: ``snapshot()`` and ``rounds`` of each BSP diffusion followed by the
+#: parallel sweep on ``rand_local(1000, 4, seed=3)``, as recorded by the
+#: linear-probing table the key-sorted one replaced.
+GOLDEN_PROFILES = {
+    "pr-nibble": (320, {
+        "hash": (54412.0, 1112.0), "vertex_map": (3346.0, 177.0),
+        "scan": (21770.0, 221.0), "edge_map": (64186.0, 553.0),
+        "filter": (29380.0, 267.0), "sort": (27472.0, 24.0),
+        "misc": (15424.0, 13.0),
+    }),
+    "pr-nibble-original": (203, {
+        "hash": (31882.0, 723.0), "vertex_map": (1592.0, 111.0),
+        "scan": (8335.0, 151.0), "edge_map": (29012.0, 348.0),
+        "filter": (12744.0, 173.0), "sort": (10993.0, 22.0),
+        "misc": (5642.0, 12.0),
+    }),
+    "nibble": (137, {
+        "hash": (51958.0, 559.0), "vertex_map": (849.0, 71.0),
+        "scan": (9311.0, 111.0), "edge_map": (18156.0, 226.0),
+        "filter": (11322.0, 112.0), "sort": (13174.0, 22.0),
+        "misc": (7130.0, 12.0),
+    }),
+    "hk-pr": (132, {
+        "scan": (25984.0, 140.0), "hash": (70757.0, 568.0),
+        "vertex_map": (7160.0, 91.0), "edge_map": (126772.0, 267.0),
+        "filter": (23621.0, 118.0), "sort": (27472.0, 24.0),
+        "misc": (15424.0, 13.0),
+    }),
+}
+
+
+class TestGoldenProfiles:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PROFILES))
+    def test_bsp_profile_matches_probing_table(self, name):
+        graph = rand_local(1000, 4, seed=3)
+        runs = {
+            "pr-nibble": lambda: pr_nibble(
+                graph, [5, 77], PRNibbleParams(alpha=0.05, eps=1e-4), kernel="python"
+            ),
+            "pr-nibble-original": lambda: pr_nibble(
+                graph, 11, PRNibbleParams(alpha=0.1, eps=1e-4, optimized=False),
+                kernel="python",
+            ),
+            "nibble": lambda: nibble(graph, 5, NibbleParams(eps=1e-4, max_iterations=12)),
+            "hk-pr": lambda: hk_pr(graph, 5, HKPRParams(t=5.0, eps=1e-4)),
+        }
+        with track() as tracker:
+            result = runs[name]()
+            sweep_cut(graph, result.vector, kernel="python")
+        rounds, snapshot = GOLDEN_PROFILES[name]
+        assert tracker.snapshot() == snapshot
+        assert tracker.rounds == rounds

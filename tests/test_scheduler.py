@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import DiffusionJob, chunk_costs, estimate_cost, plan_chunks
-from repro.engine.scheduler import _MIN_COST
+from repro.engine.scheduler import _MIN_COST, kernel_cost_scale
 from repro.runtime import (
     ppr_push_work_bound,
     random_walk_work_bound,
@@ -29,7 +29,8 @@ def pr_job(seed=0, alpha=0.01, eps=1e-4):
 
 class TestEstimates:
     def test_pr_nibble_matches_paper_bound(self):
-        assert estimate_cost(pr_job(alpha=0.01, eps=1e-5)) == ppr_push_work_bound(0.01, 1e-5)
+        bound = ppr_push_work_bound(0.01, 1e-5)
+        assert estimate_cost(pr_job(alpha=0.01, eps=1e-5)) == bound * kernel_cost_scale(None)
 
     def test_defaults_filled_like_execution(self):
         # A job with no overrides must cost the same as one spelling out
@@ -47,13 +48,15 @@ class TestEstimates:
         job = DiffusionJob.make(
             0, method="rand-hk-pr", params={"num_walks": 5000, "max_walk_length": 12}
         )
-        assert estimate_cost(job) == random_walk_work_bound(5000, 12)
+        bound = random_walk_work_bound(5000, 12)
+        assert estimate_cost(job) == bound * kernel_cost_scale(None)
 
     def test_nibble_uses_iteration_bound(self):
         job = DiffusionJob.make(
             0, method="nibble", params={"max_iterations": 10, "eps": 1e-4}
         )
-        assert estimate_cost(job) == truncated_iteration_work_bound(10, 1e-4)
+        bound = truncated_iteration_work_bound(10, 1e-4)
+        assert estimate_cost(job) == bound * kernel_cost_scale(None)
 
     def test_hk_pr_is_estimated(self):
         job = DiffusionJob.make(0, method="hk-pr", params={"eps": 1e-5})

@@ -42,7 +42,7 @@ from repro.engine import (
 )
 from repro.engine.scheduler import _MIN_COST, MAX_UNIT_JOBS
 from repro.graph import planted_partition
-from repro.kernels import available_kernels
+from repro.kernels import available_kernels, resolve_kernel
 from repro.runtime.cost_model import CostModel
 
 GRAPH = planted_partition(240, 3, intra_degree=8.0, inter_degree=1.0, seed=3)
@@ -244,7 +244,9 @@ class TestDispatchStats:
         # The reducer snapshot mirrors the live accounting and carries the
         # calibration learned from this batch.
         assert stats.dispatch == dispatch.describe()
-        assert stats.cost_calibration["pr-nibble/python"]["samples"] == len(jobs)
+        # kernel=None jobs key under the kernel they ran (the resolved default).
+        key = f"pr-nibble/{resolve_kernel(None)}"
+        assert stats.cost_calibration[key]["samples"] == len(jobs)
 
     def test_serial_backend_reports_no_dispatch(self):
         engine = BatchEngine(GRAPH, include_vectors=False)
