@@ -21,17 +21,28 @@ Theorem 1 sweep) on the soc-LJ proxy at alpha=0.01, eps=1e-6, with
 two must return the same cluster, conductance, support, pushes, rounds
 and recorded work/depth profile.
 
+And one **default-path diffusion** leg per other parallel method, on
+soc-LJ at the parameters of the end-to-end benchmark's interactive mix:
+BSP Nibble (eps=1e-5), HK-PR (t=5, eps=1e-4) and rand-HK-PR (10,000
+walks), each from the same random seeds under ``kernel="python"`` and
+the default.  Every seed's vector (entry order and values), counters,
+``extras`` and profile must match; the leg reports the diffusion p50 of
+each side.  The sweep is the default path's one, unchanged, so it is
+left out of these timings.
+
 Results: ``results/bench_kernels.csv`` + ``BENCH_kernels.json`` with the
-headline ``pr_nibble_speedup`` per compiled kernel and the default
-path's ``speedup``.  Outside smoke mode both >= 10x criteria are asserted
-(at smoke scale the shrunken proxies leave too few pushes for the ratio
-to stabilise).  Warm-up (JIT/compile) is paid before any clock starts —
-the same steady-state rule the executor's ``warmup_seconds`` accounting
-enforces.
+headline ``pr_nibble_speedup`` per compiled kernel, the default path's
+``speedup`` and each diffusion leg's ``speedup``.  Outside smoke mode the
+>= 10x criteria and a >= 5x diffusion p50 for Nibble and HK-PR are
+asserted (at smoke scale the shrunken proxies leave too few pushes for
+the ratios to stabilise).  Warm-up (JIT/compile) is paid before any clock
+starts — the same steady-state rule the executor's ``warmup_seconds``
+accounting enforces.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -41,7 +52,17 @@ import numpy as np
 
 from repro import local_cluster
 from repro.bench import format_seconds, format_table, write_csv
-from repro.core import PRNibbleParams, RandHKPRParams, pr_nibble, rand_hk_pr, sweep_cut
+from repro.core import (
+    HKPRParams,
+    NibbleParams,
+    PRNibbleParams,
+    RandHKPRParams,
+    hk_pr,
+    nibble,
+    pr_nibble,
+    rand_hk_pr,
+    sweep_cut,
+)
 from repro.core.result import vector_items
 from repro.kernels import available_kernels, ensure_warm, resolve_kernel
 from repro.runtime import track
@@ -58,6 +79,16 @@ MIN_SPEEDUP = 10.0
 
 DEFAULT_PATH_GRAPH = "soc-LJ"  # the end-to-end benchmark's graph
 DEFAULT_PATH_PARAMS = {"alpha": 0.01, "eps": 1e-4 if SMOKE else 1e-6}
+
+#: the other parallel methods at the end-to-end benchmark's interactive
+#: parameters: (method, diffusion, params, passes an rng).
+DIFFUSION_LEGS = (
+    ("nibble", nibble, NibbleParams(eps=1e-5), False),
+    ("hk-pr", hk_pr, HKPRParams(t=5.0, eps=1e-4), False),
+    ("rand-hk-pr", rand_hk_pr, RandHKPRParams(num_walks=10_000), True),
+)
+DIFFUSION_SEEDS = 8 if SMOKE else 40
+MIN_DIFFUSION_SPEEDUP = 5.0  # asserted for nibble and hk-pr
 
 
 def bench_seeds(graph):
@@ -142,6 +173,61 @@ def default_path_leg(graph):
     }
 
 
+def time_diffusions(graph, seeds, run, kernel):
+    """One diffusion per seed: (per-call seconds, results, profiles)."""
+    ensure_warm(kernel)
+    run(int(seeds[0]), kernel)  # first-call costs outside every clock
+    seconds, results, profiles = [], [], []
+    for seed in seeds.tolist():
+        with track() as profile:
+            start = time.perf_counter()
+            results.append(run(seed, kernel))
+            seconds.append(time.perf_counter() - start)
+        profiles.append(profile)
+    return seconds, results, profiles
+
+
+def diffusion_legs(graph):
+    """numpy rounds vs the default kernel for each method of
+    :data:`DIFFUSION_LEGS`; asserts identical outputs and profiles per
+    seed, returns ``{method: summary entry}``."""
+    eligible = np.flatnonzero(graph.degrees() > 0)
+    seeds = np.random.default_rng(0).choice(eligible, DIFFUSION_SEEDS)
+    legs = {}
+    for method, diffusion, params, takes_rng in DIFFUSION_LEGS:
+        def run(seed, kernel, diffusion=diffusion, params=params, takes_rng=takes_rng):
+            extra = {"rng": seed} if takes_rng else {}
+            return diffusion(graph, seed, params, kernel=kernel, **extra)
+
+        numpy_seconds, numpy_runs, numpy_profiles = time_diffusions(
+            graph, seeds, run, "python"
+        )
+        seconds, runs, profiles = time_diffusions(graph, seeds, run, None)
+        for a, b, a_profile, b_profile in zip(numpy_runs, runs, numpy_profiles, profiles):
+            a_keys, a_values = vector_items(a.vector)
+            b_keys, b_values = vector_items(b.vector)
+            assert np.array_equal(a_keys, b_keys), f"{method} entry order diverged"
+            assert np.array_equal(a_values, b_values), f"{method} values diverged"
+            assert (a.pushes, a.touched_edges, a.iterations) == (
+                b.pushes, b.touched_edges, b.iterations
+            )
+            assert a.extras == b.extras
+            assert list(a_profile.snapshot().items()) == list(b_profile.snapshot().items())
+            assert a_profile.rounds == b_profile.rounds
+        numpy_p50 = float(np.median(numpy_seconds))
+        default_p50 = float(np.median(seconds))
+        legs[method] = {
+            "params": dataclasses.asdict(params),
+            "seeds": len(seeds),
+            "default_kernel": resolve_kernel(None),
+            "numpy_p50_ms": numpy_p50 * 1e3,
+            "default_p50_ms": default_p50 * 1e3,
+            "speedup": numpy_p50 / default_p50,
+            "mean_support": float(np.mean([r.support_size() for r in runs])),
+        }
+    return legs
+
+
 def test_kernel_throughput(benchmark, graphs):
     graph = graphs[GRAPH]
     seeds = bench_seeds(graph)
@@ -152,6 +238,7 @@ def test_kernel_throughput(benchmark, graphs):
 
     runs = benchmark.pedantic(measure, rounds=1, iterations=1)
     default_path = default_path_leg(graphs[DEFAULT_PATH_GRAPH])
+    diffusions = diffusion_legs(graphs[DEFAULT_PATH_GRAPH])
 
     # Differential gate first: a fast wrong kernel is not a result.
     _, reference = runs["python"]
@@ -216,6 +303,18 @@ def test_kernel_throughput(benchmark, graphs):
             f"eps={DEFAULT_PATH_PARAMS['eps']}, parallel=True (single thread)",
         )
     )
+    print(
+        format_table(
+            ["method", "python (numpy rounds)", "default", "speedup", "support"],
+            [
+                [method, f"{leg['numpy_p50_ms']:.2f} ms", f"{leg['default_p50_ms']:.2f} ms",
+                 f"{leg['speedup']:.1f}x", f"{leg['mean_support']:.0f}"]
+                for method, leg in diffusions.items()
+            ],
+            title=f"Default-path diffusion p50: {DEFAULT_PATH_GRAPH} proxy, "
+            f"{DIFFUSION_SEEDS} random seeds, parallel=True (single thread)",
+        )
+    )
     write_csv(
         "bench_kernels",
         [
@@ -246,14 +345,16 @@ def test_kernel_throughput(benchmark, graphs):
             for kernel in kernels
         },
         "default_path": default_path,
+        "default_path_diffusions": diffusions,
     }
     pathlib.Path("BENCH_kernels.json").write_text(json.dumps(summary, indent=2))
     print(json.dumps(summary, indent=2))
 
     # The acceptance criteria: >= 10x single-thread push throughput from
-    # every compiled kernel, and >= 10x on the default path, at full bench
-    # scale only (smoke's loose eps leaves so few pushes that constant
-    # overheads dominate the ratio).
+    # every compiled kernel, >= 10x on the default path and >= 5x
+    # diffusion p50 for default-path Nibble and HK-PR, at full bench scale
+    # only (smoke's loose eps and shrunken graphs leave so little work
+    # that constant overheads dominate the ratios).
     compiled = [kernel for kernel in kernels if kernel != "python"]
     if not SMOKE:
         assert compiled, "no compiled kernel available to measure"
@@ -266,3 +367,9 @@ def test_kernel_throughput(benchmark, graphs):
         assert default_path["speedup"] >= MIN_SPEEDUP, (
             f"default path speedup {default_path['speedup']:.1f}x < {MIN_SPEEDUP}x"
         )
+        for method in ("nibble", "hk-pr"):
+            speedup = diffusions[method]["speedup"]
+            assert speedup >= MIN_DIFFUSION_SPEEDUP, (
+                f"{method} diffusion p50 speedup {speedup:.1f}x < "
+                f"{MIN_DIFFUSION_SPEEDUP}x"
+            )

@@ -39,10 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..ligra import VertexSubset, edge_map, expand_by_degree, vertex_map
+from ..kernels import csr_arrays, get_kernels, resolve_kernel
+from ..ligra import VertexSubset, charge_edge_map, edge_map, expand_by_degree, vertex_map
+from ..prims.hashtable import TableCharges
 from ..prims.sparse import SparseDict, SparseVector
 from ..runtime import log2ceil, record
-from .result import DiffusionResult
+from .result import DiffusionResult, seed_array
 
 __all__ = [
     "HKPRParams",
@@ -86,13 +88,6 @@ def psi_coefficients(t: float, taylor_degree: int) -> np.ndarray:
     return psi
 
 
-def _seed_array(seeds: int | np.ndarray) -> np.ndarray:
-    array = np.unique(np.atleast_1d(np.asarray(seeds, dtype=np.int64)))
-    if len(array) == 0:
-        raise ValueError("at least one seed vertex is required")
-    return array
-
-
 def _threshold_scale(params: HKPRParams, psi: np.ndarray, level: int) -> float:
     """``e^t * eps / (2 N psi_level)`` — multiply by d(w) for the threshold."""
     return math.exp(params.t) * params.eps / (2.0 * params.taylor_degree * psi[level])
@@ -102,7 +97,7 @@ def hk_pr_sequential(
     graph: CSRGraph, seeds: int | np.ndarray, params: HKPRParams
 ) -> DiffusionResult:
     """Queue-driven sequential hk-relax, exactly as described in Section 3.4."""
-    seed_list = _seed_array(seeds)
+    seed_list = seed_array(seeds, graph.num_vertices)
     n_taylor = params.taylor_degree
     psi = psi_coefficients(params.t, n_taylor)
     p = SparseDict()
@@ -143,17 +138,33 @@ def hk_pr_sequential(
 
 
 def hk_pr_parallel(
-    graph: CSRGraph, seeds: int | np.ndarray, params: HKPRParams
+    graph: CSRGraph,
+    seeds: int | np.ndarray,
+    params: HKPRParams,
+    kernel: str | None = None,
 ) -> DiffusionResult:
     """Level-synchronous parallel HK-PR (Figure 7).
 
     The level index j is implicit in the iteration number, so the residual
     needs only the current level's sparse vector ``r`` and the next level's
     ``r'``.
+
+    ``kernel`` selects the implementation (see :mod:`repro.kernels`): a
+    compiled kernel runs the same levels over the raw CSR arrays and is
+    bit-identical to the numpy levels below (``kernel="python"``, also
+    the path for graphs without whole-CSR arrays) — entry order, values,
+    counters, ``levels``, frontier sizes and the recorded work/depth
+    profile.
     """
-    seed_list = _seed_array(seeds)
+    seed_list = seed_array(seeds, graph.num_vertices)
     n_taylor = params.taylor_degree
     psi = psi_coefficients(params.t, n_taylor)
+    kernel_name = resolve_kernel(kernel)
+    arrays = csr_arrays(graph) if kernel_name != "python" else None
+    if arrays is not None:
+        return _hk_pr_parallel_compiled(
+            get_kernels(kernel_name), arrays, seed_list, params, psi
+        )
     p = SparseVector()
     r = SparseVector.from_pairs(seed_list, 1.0 / len(seed_list))
     frontier = VertexSubset(seed_list)
@@ -214,6 +225,44 @@ def hk_pr_parallel(
     )
 
 
+def _hk_pr_parallel_compiled(
+    kernels, arrays: tuple[np.ndarray, np.ndarray], seed_list: np.ndarray,
+    params: HKPRParams, psi: np.ndarray,
+) -> DiffusionResult:
+    """:func:`hk_pr_parallel` through a compiled frontier kernel, replaying
+    the numpy levels' ``record()`` calls, in order, from per-level counts."""
+    n_taylor = params.taylor_degree
+    scales = [_threshold_scale(params, psi, level) for level in range(n_taylor)]
+    p_keys, p_values, levels, stats = kernels.hkpr_bsp(
+        arrays[0], arrays[1], seed_list, params.t, n_taylor, scales
+    )
+    p_charges = TableCharges()
+    r_charges = TableCharges(len(seed_list))
+    r_charges.insert(len(seed_list), len(seed_list))  # SparseVector.from_pairs
+    for level, (size, volume, new_p, distinct, new_target_p) in enumerate(stats.tolist()):
+        r_charges.lookup(size)  # r.get(frontier)
+        record(work=size, depth=log2ceil(size), category="vertex_map")
+        p_charges.insert(size, new_p)  # p.add(frontier)
+        if level + 1 == n_taylor:
+            charge_edge_map(size, volume)
+            p_charges.insert(distinct, new_target_p)  # p.add(targets)
+            break
+        next_charges = TableCharges(r_charges.size)  # r_next sized by r.nnz
+        charge_edge_map(size, volume)
+        next_charges.insert(distinct, distinct)  # r_next.add(targets)
+        next_charges.scan()  # r_next.keys()
+        next_charges.lookup(distinct)  # r_next.get(candidates)
+        record(work=distinct, depth=log2ceil(distinct), category="filter")
+        r_charges = next_charges
+    return DiffusionResult(
+        vector=SparseVector.from_sorted(p_keys, p_values, p_charges),
+        iterations=len(stats),
+        pushes=int(stats[:, 0].sum()),
+        touched_edges=int(stats[:, 1].sum()),
+        extras={"levels": levels, "frontier_sizes": stats[:, 0].tolist()},
+    )
+
+
 def hk_pr(
     graph: CSRGraph,
     seeds: int | np.ndarray,
@@ -223,15 +272,13 @@ def hk_pr(
 ) -> DiffusionResult:
     """Run deterministic HK-PR with default or supplied parameters.
 
-    ``kernel`` is accepted for API uniformity with the other methods and
-    validated (:func:`repro.kernels.resolve_kernel`), but HK-PR has no
-    compiled twin yet: both paths run the reference code under every
-    kernel, including the default.
+    ``kernel`` selects the implementation of the parallel levels
+    (:mod:`repro.kernels`); the default runs compiled code when a C
+    compiler is present.  The sequential queue has no compiled twin: it
+    validates the knob and runs the Python loop.
     """
-    from ..kernels import resolve_kernel
-
-    resolve_kernel(kernel)
     params = params or HKPRParams()
     if parallel:
-        return hk_pr_parallel(graph, seeds, params)
+        return hk_pr_parallel(graph, seeds, params, kernel=kernel)
+    resolve_kernel(kernel)
     return hk_pr_sequential(graph, seeds, params)

@@ -30,10 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..ligra import VertexSubset, edge_map, expand_by_degree, vertex_map
+from ..kernels import csr_arrays, get_kernels, resolve_kernel
+from ..ligra import VertexSubset, charge_edge_map, edge_map, expand_by_degree, vertex_map
+from ..prims.hashtable import TableCharges
 from ..prims.sparse import SparseDict, SparseVector
 from ..runtime import log2ceil, record
-from .result import DiffusionResult
+from .result import DiffusionResult, seed_array
 
 __all__ = ["NibbleParams", "nibble_sequential", "nibble_parallel", "nibble"]
 
@@ -57,18 +59,11 @@ class NibbleParams:
             raise ValueError("eps must be in (0, 1)")
 
 
-def _seed_array(seeds: int | np.ndarray) -> np.ndarray:
-    array = np.unique(np.atleast_1d(np.asarray(seeds, dtype=np.int64)))
-    if len(array) == 0:
-        raise ValueError("at least one seed vertex is required")
-    return array
-
-
 def nibble_sequential(
     graph: CSRGraph, seeds: int | np.ndarray, params: NibbleParams
 ) -> DiffusionResult:
     """Reference sequential Nibble over dict-backed sparse sets."""
-    seed_list = _seed_array(seeds)
+    seed_list = seed_array(seeds, graph.num_vertices)
     initial = 1.0 / len(seed_list)
     p = SparseDict({int(s): initial for s in seed_list})
     frontier = [int(s) for s in seed_list]
@@ -105,10 +100,26 @@ def nibble_sequential(
 
 
 def nibble_parallel(
-    graph: CSRGraph, seeds: int | np.ndarray, params: NibbleParams
+    graph: CSRGraph,
+    seeds: int | np.ndarray,
+    params: NibbleParams,
+    kernel: str | None = None,
 ) -> DiffusionResult:
-    """Parallel Nibble (Figure 3): one vertexMap + edgeMap + filter per step."""
-    seed_list = _seed_array(seeds)
+    """Parallel Nibble (Figure 3): one vertexMap + edgeMap + filter per step.
+
+    ``kernel`` selects the implementation (see :mod:`repro.kernels`): a
+    compiled kernel runs the same steps over the raw CSR arrays and is
+    bit-identical to the numpy rounds below (``kernel="python"``, also
+    the path for graphs without whole-CSR arrays) — entry order, values,
+    counters, frontier sizes and the recorded work/depth profile.
+    """
+    seed_list = seed_array(seeds, graph.num_vertices)
+    kernel_name = resolve_kernel(kernel)
+    arrays = csr_arrays(graph) if kernel_name != "python" else None
+    if arrays is not None:
+        return _nibble_parallel_compiled(
+            get_kernels(kernel_name), arrays, seed_list, params
+        )
     p = SparseVector.from_pairs(seed_list, 1.0 / len(seed_list))
     frontier = VertexSubset(seed_list)
     iterations = 0
@@ -158,6 +169,38 @@ def nibble_parallel(
     )
 
 
+def _nibble_parallel_compiled(
+    kernels, arrays: tuple[np.ndarray, np.ndarray], seed_list: np.ndarray,
+    params: NibbleParams,
+) -> DiffusionResult:
+    """:func:`nibble_parallel` through a compiled frontier kernel, replaying
+    the numpy steps' ``record()`` calls, in order, from per-step counts."""
+    p_keys, p_values, stats = kernels.nibble_bsp(
+        arrays[0], arrays[1], seed_list, params.eps, params.max_iterations
+    )
+    p_charges = TableCharges(len(seed_list))
+    p_charges.insert(len(seed_list), len(seed_list))  # SparseVector.from_pairs
+    for size, volume, distinct, candidates, survivors in stats.tolist():
+        next_charges = TableCharges(p_charges.size)  # p_next sized by p.nnz
+        p_charges.lookup(size)  # p.get(frontier)
+        record(work=size, depth=log2ceil(size), category="vertex_map")
+        next_charges.insert(size, size)  # p_next.set(frontier)
+        charge_edge_map(size, volume)
+        next_charges.insert(distinct, candidates - size)  # p_next.add(targets)
+        next_charges.scan()  # p_next.keys()
+        next_charges.lookup(candidates)  # p_next.get(candidates)
+        record(work=candidates, depth=log2ceil(candidates), category="filter")
+        if survivors:
+            p_charges = next_charges
+    return DiffusionResult(
+        vector=SparseVector.from_sorted(p_keys, p_values, p_charges),
+        iterations=len(stats),
+        pushes=int(stats[:, 0].sum()),
+        touched_edges=int(stats[:, 1].sum()),
+        extras={"frontier_sizes": stats[:, 0].tolist()},
+    )
+
+
 def nibble(
     graph: CSRGraph,
     seeds: int | np.ndarray,
@@ -167,15 +210,13 @@ def nibble(
 ) -> DiffusionResult:
     """Run Nibble with default or supplied parameters.
 
-    ``kernel`` is accepted for API uniformity with the other methods and
-    validated (:func:`repro.kernels.resolve_kernel`), but Nibble has no
-    compiled twin yet: both paths run the reference code under every
-    kernel, including the default.
+    ``kernel`` selects the implementation of the parallel steps
+    (:mod:`repro.kernels`); the default runs compiled code when a C
+    compiler is present.  The sequential reference has no compiled twin:
+    it validates the knob and runs the Python loop.
     """
-    from ..kernels import resolve_kernel
-
-    resolve_kernel(kernel)
     params = params or NibbleParams()
     if parallel:
-        return nibble_parallel(graph, seeds, params)
+        return nibble_parallel(graph, seeds, params, kernel=kernel)
+    resolve_kernel(kernel)
     return nibble_sequential(graph, seeds, params)

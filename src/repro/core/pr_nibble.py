@@ -61,11 +61,11 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..kernels import csr_arrays, get_kernels, resolve_kernel
-from ..ligra import VertexSubset, edge_map, expand_by_degree, vertex_map
+from ..ligra import VertexSubset, charge_edge_map, edge_map, expand_by_degree, vertex_map
 from ..prims.hashtable import TableCharges
 from ..prims.sparse import SparseDict, SparseVector
 from ..runtime import log2ceil, record
-from .result import DiffusionResult
+from .result import DiffusionResult, seed_array
 
 __all__ = [
     "PRNibbleParams",
@@ -104,13 +104,6 @@ class PRNibbleParams:
             raise ValueError("max_iterations must be >= 1")
 
 
-def _seed_array(seeds: int | np.ndarray) -> np.ndarray:
-    array = np.unique(np.atleast_1d(np.asarray(seeds, dtype=np.int64)))
-    if len(array) == 0:
-        raise ValueError("at least one seed vertex is required")
-    return array
-
-
 def pr_nibble_sequential(
     graph: CSRGraph,
     seeds: int | np.ndarray,
@@ -126,7 +119,7 @@ def pr_nibble_sequential(
     work profile.  Graphs without whole-CSR arrays (shard views) always
     take the Python path.
     """
-    seed_list = _seed_array(seeds)
+    seed_list = seed_array(seeds, graph.num_vertices)
     alpha = params.alpha
     eps = params.eps
     kernel_name = resolve_kernel(kernel)
@@ -225,7 +218,7 @@ def pr_nibble_parallel(
     recorded work/depth profile.  The numpy rounds also serve graphs
     without whole-CSR arrays (shard views) and ``beta < 1``.
     """
-    seed_list = _seed_array(seeds)
+    seed_list = seed_array(seeds, graph.num_vertices)
     kernel_name = resolve_kernel(kernel)
     arrays = (
         csr_arrays(graph) if kernel_name != "python" and params.beta == 1.0 else None
@@ -341,10 +334,7 @@ def _pr_nibble_parallel_compiled(
         record(work=size, depth=log2ceil(size), category="vertex_map")
         p_charges.insert(size, new_p)  # p.add(frontier)
         r_charges.insert(size, 0)  # r.set(frontier): frontier keys are stored
-        # edge_map: gather_edges' offset scan and gather, then the edge pass
-        record(work=size, depth=log2ceil(size), category="scan")
-        record(work=size + volume, depth=log2ceil(volume), category="edge_map")
-        record(work=volume, depth=log2ceil(volume), category="edge_map")
+        charge_edge_map(size, volume)
         r_charges.insert(distinct, new_r)  # r.add(targets)
         r_charges.lookup(candidates)  # r.get(candidates)
         record(work=candidates, depth=log2ceil(candidates), category="filter")
@@ -405,7 +395,7 @@ def pr_nibble_residual(
     O(vol(supp p)).  The differential tests use this to check that the
     incremental path lands on the *same* invariant a cold run maintains.
     """
-    seed_list = _seed_array(seeds)
+    seed_list = seed_array(seeds, graph.num_vertices)
     c1 = 2.0 * alpha / (1.0 + alpha)
     c2 = (1.0 - alpha) / (1.0 + alpha)
     residual = SparseDict({int(s): 1.0 / len(seed_list) for s in seed_list})
@@ -449,13 +439,13 @@ def pr_nibble_update(
     Python (its work is proportional to the delta, not the graph).
     """
     params = params or PRNibbleParams()
-    seed_list = _seed_array(seeds)
+    graph = version.graph
+    seed_list = seed_array(seeds, graph.num_vertices)
     resolve_kernel(kernel)  # validate even though the correction path is Python
     ancestor = version.parent if since is None else since
     if ancestor is None:
         raise ValueError("version has no parent; run a cold pr_nibble instead")
     touched = version.touched_since(ancestor)
-    graph = version.graph
     old_graph = ancestor.graph
     alpha = params.alpha
     eps = params.eps

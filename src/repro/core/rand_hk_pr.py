@@ -30,11 +30,11 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..kernels import csr_arrays, get_kernels, resolve_kernel
 from ..prims.compact import pack_index
-from ..prims.hashtable import IntFloatHashTable
-from ..prims.sort import integer_sort_order
+from ..prims.hashtable import IntFloatHashTable, TableCharges
+from ..prims.sort import charge_integer_sort, integer_sort_order
 from ..prims.sparse import SparseDict, SparseVector
 from ..runtime import log2ceil, record
-from .result import DiffusionResult
+from .result import DiffusionResult, seed_array
 
 __all__ = [
     "RandHKPRParams",
@@ -68,13 +68,6 @@ class RandHKPRParams:
             raise ValueError("num_walks must be >= 1")
 
 
-def _seed_array(seeds: int | np.ndarray) -> np.ndarray:
-    array = np.unique(np.atleast_1d(np.asarray(seeds, dtype=np.int64)))
-    if len(array) == 0:
-        raise ValueError("at least one seed vertex is required")
-    return array
-
-
 def sample_walk_lengths(
     rng: np.random.Generator, params: RandHKPRParams
 ) -> np.ndarray:
@@ -91,7 +84,7 @@ def rand_hk_pr_sequential(
 ) -> DiffusionResult:
     """One walk at a time, dict-backed counter (the paper's sequential code)."""
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    seed_list = _seed_array(seeds)
+    seed_list = seed_array(seeds, graph.num_vertices)
     p = SparseDict()
     steps = 0
     for _ in range(params.num_walks):
@@ -134,6 +127,29 @@ def aggregate_by_sort(destinations: np.ndarray, num_walks: int) -> SparseVector:
     return SparseVector.from_pairs(vertices, counts.astype(np.float64) / num_walks)
 
 
+def _aggregate_by_sort_compiled(
+    kernels, num_vertices: int, destinations: np.ndarray, num_walks: int
+) -> SparseVector:
+    """:func:`aggregate_by_sort` through the compiled endpoint count,
+    replaying its ``record()`` calls, in order, from the walk and
+    distinct-endpoint counts."""
+    vertices, counts = kernels.endpoint_count(num_vertices, destinations)
+    walks, distinct = len(destinations), len(vertices)
+    table = TableCharges(walks)
+    table.insert(distinct, distinct)  # table.accumulate(destinations, 0.0)
+    table.scan()  # table.items()
+    table.insert(distinct, 0)  # table.assign(distinct keys, their indices)
+    table.lookup(walks)  # table.lookup(destinations)
+    charge_integer_sort(walks, max(distinct - 1, 0))
+    record(work=walks, depth=log2ceil(walks), category="filter")  # run ends
+    record(work=walks, depth=log2ceil(walks), category="scan")
+    charges = TableCharges(distinct)
+    charges.insert(distinct, distinct)  # SparseVector.from_pairs
+    return SparseVector.from_sorted(
+        vertices, counts.astype(np.float64) / num_walks, charges
+    )
+
+
 def aggregate_by_fetch_add(destinations: np.ndarray, num_walks: int) -> SparseVector:
     """Naive aggregation: a round of fetch-and-adds into the sparse set.
 
@@ -161,18 +177,21 @@ def rand_hk_pr_parallel(
     random neighbor (walks at dead-end vertices stop early).  Depth is
     O(K + log N): the step loop plus the aggregation.
 
-    ``kernel`` selects the per-step filter/advance implementation
-    (:mod:`repro.kernels`): compiled kernels fuse the degree filter and
-    the ``neighbor_at`` gather.  The uniform draws stay in this wrapper —
-    between the filter (which fixes how many are drawn) and the advance —
-    so the rng stream, and therefore every walk, is bit-identical to the
-    numpy path.  Graphs without whole-CSR arrays (shard views) take the
-    numpy path.
+    ``kernel`` selects the per-step filter/advance implementation and
+    the sort aggregation's (:mod:`repro.kernels`): compiled kernels fuse
+    the degree filter and the ``neighbor_at`` gather, and count the walk
+    endpoints in place of the hash-compress-sort of
+    :func:`aggregate_by_sort`, recording the same work/depth.  The uniform
+    draws stay in this wrapper — between the filter (which fixes how many
+    are drawn) and the advance — so the rng stream, and therefore every
+    walk, is bit-identical to the numpy path.  Graphs without whole-CSR
+    arrays (shard views) and ``aggregation="fetch_add"`` take the numpy
+    path.
     """
     if aggregation not in ("sort", "fetch_add"):
         raise ValueError("aggregation must be 'sort' or 'fetch_add'")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    seed_list = _seed_array(seeds)
+    seed_list = seed_array(seeds, graph.num_vertices)
     kernel_name = resolve_kernel(kernel)
     arrays = csr_arrays(graph) if kernel_name != "python" else None
     kernels = get_kernels(kernel_name) if arrays is not None else None
@@ -205,7 +224,11 @@ def rand_hk_pr_parallel(
         record(work=len(active), depth=1.0, category="walk")
     record(work=params.num_walks, depth=log2ceil(params.num_walks), category="walk")
 
-    if aggregation == "sort":
+    if aggregation == "sort" and kernels is not None:
+        vector = _aggregate_by_sort_compiled(
+            kernels, graph.num_vertices, current, params.num_walks
+        )
+    elif aggregation == "sort":
         vector = aggregate_by_sort(current, params.num_walks)
     else:
         vector = aggregate_by_fetch_add(current, params.num_walks)

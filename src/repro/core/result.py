@@ -1,4 +1,5 @@
-"""Result types returned by the diffusion algorithms and the sweep cut."""
+"""Result types returned by the diffusion algorithms and the sweep cut,
+and the seed normaliser every diffusion shares."""
 
 from __future__ import annotations
 
@@ -9,7 +10,22 @@ import numpy as np
 
 from ..prims.sparse import SparseDict, SparseVector
 
-__all__ = ["DiffusionResult", "SweepResult", "ClusterResult", "vector_items"]
+__all__ = ["DiffusionResult", "SweepResult", "ClusterResult", "seed_array", "vector_items"]
+
+
+def seed_array(seeds: "int | np.ndarray", num_vertices: int) -> np.ndarray:
+    """The unique ascending seed ids of a diffusion on ``num_vertices``
+    vertices; raises ``ValueError`` when none is given or one lies outside
+    ``[0, num_vertices)`` (numpy would wrap a negative id, and the
+    compiled kernels index by id unchecked)."""
+    array = np.unique(np.atleast_1d(np.asarray(seeds, dtype=np.int64)))
+    if len(array) == 0:
+        raise ValueError("at least one seed vertex is required")
+    if array[0] < 0 or array[-1] >= num_vertices:
+        raise ValueError(
+            f"seed vertex out of range for a {num_vertices}-vertex graph"
+        )
+    return array
 
 
 def vector_items(vector: "SparseDict | SparseVector | dict") -> tuple[np.ndarray, np.ndarray]:

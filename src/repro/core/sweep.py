@@ -26,6 +26,7 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..kernels import csr_arrays, get_kernels, resolve_kernel
+from ..ligra import charge_gather
 from ..prims.compact import pack_index
 from ..prims.hashtable import IntFloatHashTable, TableCharges
 from ..prims.scan import argmin_via_scan, prefix_sum
@@ -45,9 +46,14 @@ def sweep_order(
     cannot affect any cut and are excluded.  Ties break towards the smaller
     vertex id so that the sequential and parallel sweeps scan prefixes in
     the same order.  ``category`` controls cost accounting: the sequential
-    sweep records its sort as non-parallelisable work.
+    sweep records its sort as non-parallelisable work.  A key outside the
+    graph's vertex range raises ``ValueError``.
     """
     keys, values = vector_items(vector)
+    if len(keys) and (keys.min() < 0 or keys.max() >= graph.num_vertices):
+        raise ValueError(
+            f"vector key out of range for a {graph.num_vertices}-vertex graph"
+        )
     degrees = graph.degrees(keys)
     positive = (values > 0.0) & (degrees > 0)
     keys = keys[positive]
@@ -211,9 +217,7 @@ def _charge_prefix_steps(n: int, volume: int) -> None:
     rank_charges = TableCharges(n)
     rank_charges.insert(n, n)  # step 2: rank_table.assign
     record(work=n, depth=log2ceil(n), category="scan")  # step 3: prefix_sum
-    # step 4: gather_edges' offset scan and gather, rank lookups, Z build
-    record(work=n, depth=log2ceil(n), category="scan")
-    record(work=n + volume, depth=log2ceil(volume), category="edge_map")
+    charge_gather(n, volume)  # step 4: gather_edges, rank lookups, Z build
     rank_charges.lookup(volume)
     record(work=2.0 * volume, depth=log2ceil(volume), category="misc")
     # step 5: integer sort, sign prefix sum, run-end pack over 2 vol pairs

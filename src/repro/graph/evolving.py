@@ -115,22 +115,27 @@ def _splice(graph: CSRGraph, insert: np.ndarray, delete: np.ndarray) -> CSRGraph
     increasing (CSR rows are contiguous and adjacency lists sorted), so a
     batch is two sorted-merge passes — ``searchsorted`` locates each change,
     one ``delete``/``insert`` memcpy applies it — and the result is the
-    same canonical array a full rebuild would produce.
+    same canonical array a full rebuild would produce.  The keys are built
+    and decoded in place and the degrees patched from the delta alone, so
+    the only edge-sized arrays are the key array and the two copies
+    ``delete``/``insert`` make.
     """
     n = graph.num_vertices
-    sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.offsets))
-    encoded = sources * np.int64(n) + graph.neighbors
+    degrees = np.diff(graph.offsets)
+    encoded = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    encoded *= n
+    encoded += graph.neighbors
     if len(delete):
         remove = _directed_encodings(delete, n)
         encoded = np.delete(encoded, np.searchsorted(encoded, remove))
+        degrees -= np.bincount(remove // n, minlength=n)
     if len(insert):
         add = _directed_encodings(insert, n)
         encoded = np.insert(encoded, np.searchsorted(encoded, add), add)
-    new_sources = encoded // n
-    counts = np.bincount(new_sources, minlength=n)
+        degrees += np.bincount(add // n, minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return CSRGraph(offsets, (encoded % n).astype(np.int64))
+    np.cumsum(degrees, out=offsets[1:])
+    return CSRGraph(offsets, np.remainder(encoded, n, out=encoded))
 
 
 def _rebuild(graph: CSRGraph, insert: np.ndarray, delete: np.ndarray) -> CSRGraph:

@@ -3,9 +3,11 @@
 The paper's headline numbers come from tight shared-memory loops; this
 package provides compiled implementations of the hottest ones — the
 PR-Nibble push loop in both forms (the sequential queue loop and the
-frontier-synchronous rounds of Figures 5-6), the sweep-cut membership
-scan, and random-walk stepping — behind a single ``kernel=`` knob
-threaded through :func:`repro.local_cluster`,
+frontier-synchronous rounds of Figures 5-6), the frontier rounds of BSP
+Nibble (Figure 3) and the HK-PR levels (Figure 7), the sweep-cut
+membership scan, and rand-HK-PR's random-walk stepping and endpoint
+count — behind a single ``kernel=`` knob threaded through
+:func:`repro.local_cluster`,
 :class:`repro.engine.DiffusionJob`/:class:`~repro.engine.BatchEngine`,
 :class:`repro.serve.DiffusionService` and the CLI.
 
@@ -28,8 +30,9 @@ compiled execution composes with :class:`repro.graph.shared.SharedCSR`
 zero-copy attach for free; :class:`repro.graph.sharded.ShardedGraphView`
 exposes no whole-graph arrays (:func:`csr_arrays` returns ``None``), so
 jobs running on shard views escalate to the Python path — bit-identical
-either way.  The bulk-synchronous Nibble and HK-PR and PR-Nibble's
-``beta < 1`` variant have no compiled twin and run the numpy rounds.
+either way.  PR-Nibble's ``beta < 1`` variant, rand-HK-PR's
+``aggregation="fetch_add"`` and the sequential Nibble, HK-PR and
+rand-HK-PR loops have no compiled twin and run the reference code.
 Recorded work/depth profiles and cache keys are identical across
 kernels, so :class:`repro.cache.ResultCache` entries are kernel-agnostic:
 an outcome written under one kernel replays under any other.
@@ -176,8 +179,10 @@ def resolve_kernel(kernel: str | None) -> str:
 
 
 def get_kernels(kernel: str | None) -> Any:
-    """The kernel set (``ppr_push``/``sweep_scan``/``walk_filter``/
-    ``walk_advance`` namespace) for a resolved kernel name."""
+    """The kernel set for a resolved kernel name: ``ppr_push``/
+    ``sweep_scan``/``walk_filter``/``walk_advance`` on every backend, plus
+    the frontier kernels (``ppr_bsp``/``nibble_bsp``/``hkpr_bsp``) and
+    ``endpoint_count`` on the compiled one."""
     return _load(resolve_kernel(kernel))
 
 

@@ -28,7 +28,14 @@ from ..graph.csr import CSRGraph
 from ..runtime import log2ceil, record
 from .vertex_subset import VertexSubset
 
-__all__ = ["vertex_map", "edge_map", "edge_map_gather", "expand_by_degree"]
+__all__ = [
+    "vertex_map",
+    "edge_map",
+    "charge_gather",
+    "charge_edge_map",
+    "edge_map_gather",
+    "expand_by_degree",
+]
 
 VertexFunction = Callable[[np.ndarray], np.ndarray | None]
 EdgeFunction = Callable[[np.ndarray, np.ndarray], np.ndarray | None]
@@ -66,6 +73,25 @@ def edge_map(graph: CSRGraph, subset: VertexSubset, fn: EdgeFunction) -> VertexS
     if mask.shape != targets.shape:
         raise ValueError("edge function must return one flag per edge")
     return VertexSubset(targets[mask])
+
+
+def charge_gather(size: int, volume: int) -> None:
+    """Replay the ``record()`` calls of :meth:`CSRGraph.gather_edges` over
+    ``size`` vertices of total degree ``volume``: the offset scan, then
+    the gather.  A compiled kernel that gathered the same edges charges
+    through this, so its profile matches the numpy path's."""
+    if size == 0:
+        return
+    record(work=size, depth=log2ceil(size), category="scan")
+    record(work=size + volume, depth=log2ceil(volume), category="edge_map")
+
+
+def charge_edge_map(size: int, volume: int) -> None:
+    """Replay the ``record()`` calls of one :func:`edge_map` over a
+    frontier of ``size`` vertices and total degree ``volume``: the gather
+    (:func:`charge_gather`), then the edge pass."""
+    charge_gather(size, volume)
+    record(work=volume, depth=log2ceil(volume), category="edge_map")
 
 
 def edge_map_gather(graph: CSRGraph, subset: VertexSubset) -> tuple[np.ndarray, np.ndarray]:

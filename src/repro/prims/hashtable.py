@@ -13,9 +13,11 @@ Two pieces realise that structure here:
   capacity (load factor at most 1/2, grown 4x past it, starting at 8) and
   the work/depth each batch charges, computed from counts — batch sizes
   and how many keys each batch adds.  It is the one owner of the growth
-  policy; the table below and the compiled kernels' replays
-  (:mod:`repro.core.pr_nibble`, :mod:`repro.core.sweep`) both charge
-  through it, so a compiled run records the same profile as this table.
+  policy; the table below and the compiled kernels' replays (in
+  :mod:`repro.core.pr_nibble`, :mod:`~repro.core.nibble`,
+  :mod:`~repro.core.hk_pr`, :mod:`~repro.core.rand_hk_pr` and
+  :mod:`~repro.core.sweep`) both charge through it, so a compiled run
+  records the same profile as this table.
 * :class:`IntFloatHashTable` stores the entries: int64 keys, float64
   values, kept **key-sorted**, so batched lookups and inserts are
   ``searchsorted`` and a merge with no probe loop, and :meth:`items`

@@ -242,8 +242,8 @@ class TestKnobSurfaces:
             local_cluster(barbell_graph(4), 0, kernel="fortran")
 
     def test_parallel_paths_validate_but_ignore(self):
-        # BSP Nibble and HK-PR have no compiled twin; the knob must still
-        # be validated on every parallel path, not silently dropped.
+        # Every parallel path validates the knob, whether or not the graph
+        # lets it reach a compiled twin: never silently dropped.
         from repro import local_cluster
 
         with pytest.raises(ValueError, match="unknown kernel"):
@@ -251,17 +251,51 @@ class TestKnobSurfaces:
         result = local_cluster(barbell_graph(4), 0, parallel=True, kernel="auto")
         assert result.size > 0
 
-    @pytest.mark.skipif("c" not in available_kernels(), reason="no C compiler")
     @pytest.mark.parametrize("parallel", [True, False])
     def test_c_rejects_out_of_range_seeds(self, parallel):
-        # The C loops index by seed unchecked; the wrapper must refuse
-        # ids outside [0, n) before any pointer reaches them.
-        from repro.core import pr_nibble
+        # The C loops index by seed unchecked and numpy wraps a negative
+        # id, so every method must refuse ids outside [0, n) on every
+        # kernel before any array is indexed by them.
+        from repro import local_cluster
 
         graph = barbell_graph(6)
-        for seeds in ([-1, 3], [graph.num_vertices]):
+        for method in ("pr-nibble", "nibble", "hk-pr", "rand-hk-pr"):
+            for kernel in available_kernels():
+                for seeds in (-2, [-1, 3], [graph.num_vertices]):
+                    with pytest.raises(ValueError, match="out of range"):
+                        local_cluster(
+                            graph, seeds, method=method, parallel=parallel,
+                            kernel=kernel,
+                        )
+
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_sweep_rejects_out_of_range_keys(self, parallel):
+        from repro.core import sweep_cut
+
+        graph = barbell_graph(6)
+        for kernel in available_kernels():
+            for vector in ({-2: 1.0, 3: 0.5}, {3: 0.5, graph.num_vertices: 1.0}):
+                with pytest.raises(ValueError, match="out of range"):
+                    sweep_cut(graph, vector, parallel=parallel, kernel=kernel)
+
+    @pytest.mark.skipif("c" not in available_kernels(), reason="no C compiler")
+    def test_c_guards_its_id_arrays(self):
+        # The compiled scan and walk filter refuse ids that would index
+        # outside their arrays, whoever calls them.
+        c = get_kernels("c")
+        graph = barbell_graph(6)
+        offsets, neighbors = graph.offsets, graph.neighbors
+        degrees = np.asarray([5], dtype=np.int64)
+        for ordered in ([-2], [graph.num_vertices]):
             with pytest.raises(ValueError, match="out of range"):
-                pr_nibble(graph, seeds, parallel=parallel, kernel="c")
+                c.sweep_scan(offsets, neighbors, np.asarray(ordered), degrees)
+        current = np.asarray([0, 3], dtype=np.int64)
+        with pytest.raises(ValueError, match="out of range"):
+            c.walk_filter(offsets, current, np.asarray([2]))
+        with pytest.raises(ValueError, match="out of range"):
+            c.walk_filter(offsets, np.asarray([0, -2]), np.asarray([1]))
+        with pytest.raises(ValueError, match="out of range"):
+            c.endpoint_count(graph.num_vertices, np.asarray([1, graph.num_vertices]))
 
     def test_methods_without_twins_accept_the_knob(self):
         from repro import local_cluster

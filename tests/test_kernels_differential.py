@@ -20,7 +20,8 @@ bug, never a tolerance question.  Checked per case:
 
 The frontier-synchronous (BSP) PR-Nibble and the parallel sweep are
 compared the same way against the numpy rounds, plus ``residual_mass``
-and the per-round frontier sizes.
+and the per-round frontier sizes; so are BSP Nibble, the HK-PR levels
+and rand-HK-PR's sort aggregation, with their ``extras``.
 
 On hosts with no compiled backend the cross-kernel cases skip, but the
 array-twin cases (``repro.kernels.reference`` vs the object-level core
@@ -36,8 +37,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    HKPRParams,
+    NibbleParams,
     PRNibbleParams,
     RandHKPRParams,
+    hk_pr,
+    nibble,
     pr_nibble,
     rand_hk_pr,
     sweep_cut,
@@ -290,6 +295,224 @@ class TestBSPDifferential:
         assert_bsp_runs_identical(
             run_bsp(graph, 0, params, None), run_bsp(graph, 0, params, kernel)
         )
+
+
+def profiled(run):
+    """``run()``'s result and the work/depth profile it recorded."""
+    with track() as profile:
+        result = run()
+    return result, profile
+
+
+def assert_frontier_runs_identical(a, b):
+    """Same vector (entry order and values), counters, extras, profile."""
+    (a_result, a_profile), (b_result, b_profile) = a, b
+    assert_diffusions_identical(a_result, b_result)
+    assert a_result.extras == b_result.extras
+    assert_profiles_identical(a_profile, b_profile)
+
+
+def assert_kernel_matches_numpy(run, kernel):
+    """``run(kernel)`` is bit-identical to ``run("python")``; returns the
+    numpy run so callers can check the case covers what it claims to."""
+    numpy_run = profiled(lambda: run("python"))
+    assert_frontier_runs_identical(numpy_run, profiled(lambda: run(kernel)))
+    return numpy_run[0]
+
+
+def spy_on_kernel(monkeypatch, kernel, name):
+    """Record each call of the ``kernel`` set's ``name`` method."""
+    from repro.kernels import get_kernels
+
+    kernel_set = type(get_kernels(kernel))
+    method = getattr(kernel_set, name)
+    calls = []
+
+    def counted(self, *args):
+        calls.append(1)
+        return method(self, *args)
+
+    monkeypatch.setattr(kernel_set, name, counted)
+    return calls
+
+
+seed_sets = st.sets(st.integers(0, 24), min_size=1, max_size=4)
+
+nibble_params = st.builds(
+    NibbleParams,
+    eps=st.sampled_from([1e-2, 1e-3, 1e-4, 1e-5]),
+    max_iterations=st.sampled_from([1, 2, 5, 20]),
+)
+
+
+class TestNibbleDifferential:
+    """BSP Nibble: the compiled steps against the numpy rounds."""
+
+    @compiled_kernels
+    @settings(max_examples=60, deadline=None)
+    @given(edge_lists, seed_sets, nibble_params)
+    def test_bit_identical_steps_vector_and_profile(self, kernel, edges, seed_set, params):
+        # Seeds from all 25 ids: isolated (degree-0) seeds occur too.
+        graph = from_edge_list(edges, num_vertices=25)
+        seeds = np.asarray(sorted(seed_set), dtype=np.int64)
+        assert_kernel_matches_numpy(lambda k: nibble(graph, seeds, params, kernel=k), kernel)
+
+    @compiled_kernels
+    def test_degree_zero_seeds_stay_in_the_frontier(self, kernel):
+        graph = from_edge_list([(0, 1), (1, 2), (2, 3), (3, 4)], num_vertices=6)
+        params = NibbleParams(eps=1e-3, max_iterations=5)
+        result = assert_kernel_matches_numpy(
+            lambda k: nibble(graph, [0, 5], params, kernel=k), kernel
+        )
+        assert result.iterations == 5 and 5 in result.vector
+
+    @compiled_kernels
+    def test_round_without_survivors_keeps_the_previous_vector(self, kernel):
+        graph = barbell_graph(8)
+        params = NibbleParams(eps=0.05, max_iterations=20)
+        result = assert_kernel_matches_numpy(
+            lambda k: nibble(graph, 0, params, kernel=k), kernel
+        )
+        # Step 2 leaves no vertex above threshold: it still counts as a
+        # step, and p_1 (the seed's half plus its neighbors) is returned.
+        assert result.iterations == 2
+        assert result.vector.nnz == 1 + graph.degree(0)
+
+    @compiled_kernels
+    def test_isolated_frontier_records_no_edge_batch(self, kernel):
+        graph = from_edge_list([(0, 1)], num_vertices=3)
+        params = NibbleParams(eps=1e-3, max_iterations=4)
+        numpy_run = profiled(lambda: nibble(graph, 2, params, kernel="python"))
+        assert_frontier_runs_identical(
+            numpy_run, profiled(lambda: nibble(graph, 2, params, kernel=kernel))
+        )
+        result, profile = numpy_run
+        assert result.touched_edges == 0 and result.iterations == 4
+        # edge_map work is the gathers' per-vertex term alone: no edges
+        assert profile.snapshot()["edge_map"][0] == result.pushes
+
+    @compiled_kernels
+    def test_wide_frontiers_across_kernel_calls(self, kernel, monkeypatch):
+        from repro.kernels import _ckernels
+
+        monkeypatch.setattr(_ckernels, "_BSP_ROUNDS_PER_CALL", 3)
+        graph = rand_local(3000, 5, seed=1)
+        params = NibbleParams(eps=1e-5, max_iterations=20)
+        result = assert_kernel_matches_numpy(
+            lambda k: nibble(graph, [7, 1500], params, kernel=k), kernel
+        )
+        assert result.iterations > 3
+        assert max(result.extras["frontier_sizes"]) > 1000
+
+    @compiled_kernels
+    def test_default_kernel_runs_the_compiled_twin(self, kernel, monkeypatch):
+        graph = barbell_graph(8)
+        params = NibbleParams(eps=1e-4)
+        calls = spy_on_kernel(monkeypatch, kernel, "nibble_bsp")
+        assert_frontier_runs_identical(
+            profiled(lambda: nibble(graph, 0, params)),
+            profiled(lambda: nibble(graph, 0, params, kernel="python")),
+        )
+        assert calls == [1]
+
+
+hk_pr_params = st.builds(
+    HKPRParams,
+    t=st.sampled_from([1.0, 3.0, 10.0]),
+    taylor_degree=st.sampled_from([1, 2, 5, 20]),
+    eps=st.sampled_from([1e-2, 1e-3, 1e-4]),
+)
+
+
+class TestHKPRDifferential:
+    """HK-PR: the compiled levels against the numpy levels."""
+
+    @compiled_kernels
+    @settings(max_examples=60, deadline=None)
+    @given(edge_lists, seed_sets, hk_pr_params)
+    def test_bit_identical_levels_vector_and_profile(self, kernel, edges, seed_set, params):
+        graph = from_edge_list(edges, num_vertices=25)
+        seeds = np.asarray(sorted(seed_set), dtype=np.int64)
+        assert_kernel_matches_numpy(lambda k: hk_pr(graph, seeds, params, kernel=k), kernel)
+
+    @compiled_kernels
+    @pytest.mark.parametrize("taylor_degree", [1, 2, 5, 20])
+    def test_last_level_adds_shares_into_p(self, kernel, taylor_degree):
+        graph = rand_local(200, 4, seed=2)
+        params = HKPRParams(t=10.0, taylor_degree=taylor_degree, eps=1e-4)
+        result = assert_kernel_matches_numpy(
+            lambda k: hk_pr(graph, [3, 150], params, kernel=k), kernel
+        )
+        assert result.extras["levels"] == taylor_degree - 1
+
+    @compiled_kernels
+    @pytest.mark.parametrize("seeds", [[5], [0, 5], [4, 5]])
+    def test_degree_zero_seeds(self, kernel, seeds):
+        graph = from_edge_list([(0, 1), (1, 2), (2, 3)], num_vertices=6)
+        assert_kernel_matches_numpy(
+            lambda k: hk_pr(graph, seeds, HKPRParams(t=3.0, eps=1e-3), kernel=k), kernel
+        )
+
+    @compiled_kernels
+    def test_wide_frontiers_across_kernel_calls(self, kernel, monkeypatch):
+        from repro.kernels import _ckernels
+
+        monkeypatch.setattr(_ckernels, "_BSP_ROUNDS_PER_CALL", 3)
+        graph = rand_local(3000, 5, seed=1)
+        params = HKPRParams(t=5.0, eps=1e-5)
+        result = assert_kernel_matches_numpy(
+            lambda k: hk_pr(graph, [7, 1500], params, kernel=k), kernel
+        )
+        assert result.iterations > 3
+        assert max(result.extras["frontier_sizes"]) > 1000
+
+    @compiled_kernels
+    def test_default_kernel_runs_the_compiled_twin(self, kernel, monkeypatch):
+        graph = barbell_graph(8)
+        params = HKPRParams(t=5.0, eps=1e-4)
+        calls = spy_on_kernel(monkeypatch, kernel, "hkpr_bsp")
+        assert_frontier_runs_identical(
+            profiled(lambda: hk_pr(graph, 0, params)),
+            profiled(lambda: hk_pr(graph, 0, params, kernel="python")),
+        )
+        assert calls == [1]
+
+
+class TestRandAggregationDifferential:
+    """rand-HK-PR's sort aggregation: the compiled endpoint count against
+    the hash-compress-sort of ``aggregate_by_sort``."""
+
+    @compiled_kernels
+    @settings(max_examples=30, deadline=None)
+    @given(
+        edge_lists,
+        seed_sets,
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([1, 2, 7, 300]),
+        st.sampled_from([0, 1, 6]),
+    )
+    def test_bit_identical_endpoint_vector_and_profile(
+        self, kernel, edges, seed_set, rng_seed, num_walks, max_walk_length
+    ):
+        graph = from_edge_list(edges, num_vertices=25)
+        seeds = np.asarray(sorted(seed_set), dtype=np.int64)
+        params = RandHKPRParams(t=3.0, max_walk_length=max_walk_length, num_walks=num_walks)
+        assert_kernel_matches_numpy(
+            lambda k: rand_hk_pr(graph, seeds, params, rng=rng_seed, kernel=k), kernel
+        )
+
+    @compiled_kernels
+    @pytest.mark.parametrize("num_walks, max_walk_length", [(1, 0), (1, 10), (2000, 0)])
+    def test_single_walk_and_zero_length_walks(self, kernel, num_walks, max_walk_length):
+        graph = rand_local(500, 4, seed=3)
+        params = RandHKPRParams(num_walks=num_walks, max_walk_length=max_walk_length)
+        result = assert_kernel_matches_numpy(
+            lambda k: rand_hk_pr(graph, [4, 9], params, rng=5, kernel=k), kernel
+        )
+        keys, _ = vector_items(result.vector)
+        assert len(keys) <= num_walks
+        if max_walk_length == 0:
+            assert set(keys.tolist()) <= {4, 9}  # every walk ends at its seed
 
 
 class TestRandWalkDifferential:

@@ -193,8 +193,10 @@ class TestFairness:
             return replies
 
         async def interactive_client(server, name, bulk_progress):
-            # Connect *after* the bulk flood is queued.
-            await asyncio.sleep(0.05)
+            # Connect *after* the server has read the whole bulk flood, so
+            # the flood is queued however fast the backlog drains.
+            while server.stats.requests < 16:
+                await asyncio.sleep(0.001)
             reply = (await roundtrip(
                 server, {"id": name, "seeds": [0], "params": dict(PARAMS)}
             ))[0]
