@@ -141,7 +141,6 @@ def run_service(graph):
             start_method=START_METHOD,
             include_vectors=False,
             max_batch=MAX_BATCH,
-            max_linger=0.0,
         ) as service:
             bulk_futures = service.submit_many(bulk_jobs(graph), priority="bulk")
             latencies, outcomes = [], []
@@ -219,7 +218,6 @@ def run_socket(graph):
             start_method=START_METHOD,
             include_vectors=False,
             max_batch=MAX_BATCH,
-            max_linger=0.0,
         ) as service:
             async with DiffusionServer(service) as server:
                 jobs = interactive_jobs(graph)

@@ -484,7 +484,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args, cache, include_vectors=False, graph_version=args.at_version
         ),
         max_batch=args.max_batch,
-        max_linger=args.max_linger / 1000.0,
         max_batch_cost=args.max_batch_cost,
     )
     stream_in = sys.stdin
@@ -815,13 +814,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch",
         type=int,
         default=32,
-        help="most jobs per micro-batch (smaller = lower interactive latency)",
-    )
-    serve.add_argument(
-        "--max-linger",
-        type=float,
-        default=2.0,
-        help="milliseconds a request may wait for batch-mates (default 2)",
+        help="most jobs per micro-batch; a batch is whatever queued while "
+        "the previous one ran (smaller = lower interactive latency under "
+        "bulk load)",
     )
     serve.add_argument(
         "--max-batch-cost",

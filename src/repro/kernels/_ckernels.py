@@ -521,17 +521,28 @@ i64 walk_filter(const i64 *offsets, i64 n, const i64 *current, i64 n_lanes,
 }
 
 /* Advance each kept walk: pick = trunc(u * degree), matching numpy's
- * (uniforms * degrees).astype(int64). */
-void walk_advance(const i64 *offsets, const i64 *neighbors,
-                  i64 *current, const i64 *active, const i64 *vertices,
-                  const double *uniforms, i64 n)
+ * (uniforms * degrees).astype(int64).  Returns 0, or -1 at a lane outside
+ * [0, n_lanes), a vertex outside [0, n) or without edges, or a uniform
+ * outside [0, 1); lanes before it are already advanced.  The uniform is
+ * tested before the cast, which is undefined for NaN. */
+i64 walk_advance(const i64 *offsets, const i64 *neighbors, i64 n,
+                 i64 *current, i64 n_lanes, const i64 *active,
+                 const i64 *vertices, const double *uniforms, i64 n_active)
 {
-    for (i64 i = 0; i < n; i++) {
+    for (i64 i = 0; i < n_active; i++) {
+        i64 lane = active[i];
         i64 vertex = vertices[i];
+        double u = uniforms[i];
+        if (lane < 0 || lane >= n_lanes || vertex < 0 || vertex >= n
+            || !(u >= 0.0 && u < 1.0))
+            return -1;
         i64 degree = offsets[vertex + 1] - offsets[vertex];
-        i64 pick = (i64)(uniforms[i] * (double)degree);
-        current[active[i]] = neighbors[offsets[vertex] + pick];
+        if (degree <= 0)
+            return -1;
+        i64 pick = (i64)(u * (double)degree);
+        current[lane] = neighbors[offsets[vertex] + pick];
     }
+    return 0;
 }
 """
 
@@ -667,8 +678,12 @@ def _bind(library_path: Path) -> ctypes.CDLL:
     lib.sweep_scan.argtypes = [_I64P, _I64P, _I64P, _I64P, _i64, _U8P, _I64P, _I64P]
     lib.walk_filter.restype = _i64
     lib.walk_filter.argtypes = [_I64P, _i64, _I64P, _i64, _I64P, _i64, _I64P, _I64P]
-    lib.walk_advance.restype = None
-    lib.walk_advance.argtypes = [_I64P, _I64P, _I64P, _I64P, _I64P, _F64P, _i64]
+    lib.walk_advance.restype = _i64
+    lib.walk_advance.argtypes = [
+        _I64P, _I64P, _i64,           # offsets, neighbors, n
+        _I64P, _i64,                  # current, n_lanes
+        _I64P, _I64P, _F64P, _i64,    # active, vertices, uniforms, n_active
+    ]
     return lib
 
 
@@ -877,15 +892,18 @@ class CKernels:
         return active_out[:kept], vertices_out[:kept]
 
     def walk_advance(self, offsets, neighbors, current, active, vertices, uniforms):
-        self._lib.walk_advance(
-            _as_i64(offsets),
-            _as_i64(neighbors),
-            current,
-            _as_i64(active),
-            _as_i64(vertices),
-            np.ascontiguousarray(uniforms, dtype=np.float64),
-            len(active),
+        offsets = _as_i64(offsets)
+        active = _as_i64(active)
+        vertices = _as_i64(vertices)
+        uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
+        if not len(active) == len(vertices) == len(uniforms):
+            raise ValueError("walk_advance needs one vertex and one uniform per lane")
+        status = self._lib.walk_advance(
+            offsets, _as_i64(neighbors), len(offsets) - 1, current, len(current),
+            active, vertices, uniforms, len(active),
         )
+        if status < 0:
+            raise ValueError("walk lane, vertex id or uniform out of range")
 
 
 def build() -> CKernels:

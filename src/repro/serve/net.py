@@ -14,9 +14,16 @@ stdlib-only, speaking two framings of the **same codec**
   even without ``id`` fields.
 * **HTTP/1.1** — ``POST /`` (or ``POST /v1/cluster``) with the identical
   JSON request object as the body; the reply is the identical JSON reply
-  object, status-coded from the structured error (200/400/404/405/429/
-  503).  Keep-alive is honoured.  The framing is sniffed from the first
+  object, status-coded from the structured error (200/400/404/405/413/
+  429/503).  Keep-alive is honoured.  The framing is sniffed from the first
   line of each connection, so both dialects share the port.
+
+Every request frame is bounded by :data:`MAX_FRAME` bytes: an NDJSON line,
+an HTTP request or header line, the HTTP header block and the HTTP body.
+A longer frame, or an HTTP ``Content-Length`` that is not a non-negative
+integer, is answered with a structured 413 (or 400) after the replies the
+connection already owes, and the connection closes: the stream cannot be
+resynchronised past it.
 
 Multi-tenancy is enforced *between* the socket and the service:
 
@@ -65,7 +72,11 @@ from .protocol import error_reply, outcome_reply, parse_request
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .service import DiffusionService
 
-__all__ = ["DiffusionServer", "ServerStats"]
+__all__ = ["DiffusionServer", "ServerStats", "MAX_FRAME"]
+
+#: Largest request frame the server reads, in bytes: asyncio's default
+#: ``StreamReader`` limit, which every connection's reader is built with.
+MAX_FRAME = 64 * 1024
 
 #: request-line verbs that flip a fresh connection into HTTP mode.
 _HTTP_VERBS = frozenset(
@@ -77,10 +88,69 @@ _HTTP_REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+def _too_large(what: str) -> RequestError:
+    return RequestError(
+        None, f"{what} exceeds the {MAX_FRAME}-byte request frame limit", code=413
+    )
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """The next line (``b""`` at EOF).  A line over :data:`MAX_FRAME`
+    bytes raises a 413 `RequestError`; asyncio raises a bare ``ValueError``
+    there and drops what it had buffered of the line."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise _too_large("a line") from None
+
+
+async def _read_http_request(
+    reader: asyncio.StreamReader, line: bytes
+) -> tuple[str, str, bool, bytes]:
+    """Read the rest of one HTTP/1.x request after its request ``line``;
+    returns ``(verb, target, keep_alive, body)``.
+
+    A request the connection cannot continue past raises `RequestError`:
+    a malformed request line or ``Content-Length`` (400), or a line, a
+    header block or a declared body over :data:`MAX_FRAME` bytes (413) —
+    the body is never read in that case.
+    """
+    parts = line.decode("latin-1").split()
+    if len(parts) != 3:
+        raise RequestError(None, "malformed HTTP request line")
+    verb, target, version = parts
+    headers: dict[str, str] = {}
+    size = 0
+    while True:
+        header = await _read_line(reader)
+        if header in (b"\r\n", b"\n", b""):
+            break
+        size += len(header)
+        if size > MAX_FRAME:
+            raise _too_large("the header block")
+        name, _, value = header.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    declared = headers.get("content-length", "") or "0"
+    if not (declared.isascii() and declared.isdigit()):
+        raise RequestError(
+            None, f"Content-Length must be a non-negative integer, got {declared!r}"
+        )
+    length = int(declared)
+    if length > MAX_FRAME:
+        raise _too_large(f"a {length}-byte body")
+    body = await reader.readexactly(length) if length else b""
+    keep_alive = (
+        headers.get("connection", "").lower() != "close"
+        and version.upper() == "HTTP/1.1"
+    )
+    return verb, target, keep_alive, body
 
 
 @dataclass
@@ -243,7 +313,7 @@ class DiffusionServer:
         self._idle = asyncio.Event()
         self._idle.set()
         self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
+            self._on_connection, self.host, self.port, limit=MAX_FRAME
         )
         sock = self._server.sockets[0]
         self.address = sock.getsockname()[:2]
@@ -336,19 +406,26 @@ class DiffusionServer:
             # never races a connection it cannot see in self._clients.
             writer.close()
             return
+        first: bytes | RequestError
         try:
-            first = await reader.readline()
+            first = await _read_line(reader)
         except (ConnectionError, asyncio.IncompleteReadError):
             writer.close()
             return
-        if not first.strip():
+        except RequestError as error:
+            # Too long to sniff the framing from: answered as NDJSON.
+            first = error
+        if isinstance(first, bytes) and not first.strip():
             writer.close()
             return
         client = self._register()
         client.writer = writer
-        verb = first.split(b" ", 1)[0]
         try:
-            if verb in _HTTP_VERBS and b"HTTP/1." in first:
+            if (
+                isinstance(first, bytes)
+                and first.split(b" ", 1)[0] in _HTTP_VERBS
+                and b"HTTP/1." in first
+            ):
                 await self._serve_http(client, reader, writer, first)
             else:
                 await self._serve_ndjson(client, reader, writer, first)
@@ -361,9 +438,13 @@ class DiffusionServer:
     # ------------------------------------------------------------------
     # Ingestion (shared by both framings)
     # ------------------------------------------------------------------
-    def _ingest(self, client: _Client, text: str) -> "asyncio.Future[dict]":
+    def _ingest(
+        self, client: _Client, frame: str | RequestError
+    ) -> "asyncio.Future[dict]":
         """Parse + validate one request; returns a future reply object.
 
+        ``frame`` is the request text, or the error of a frame that could
+        not be read (it is counted and answered like any rejection).
         Replies resolve out of admission order (a rejected request's
         reply is ready immediately); the per-framing writers serialize
         them back into request order.
@@ -374,8 +455,10 @@ class DiffusionServer:
         request_id: Any = client.request_counter
         self.stats.requests += 1
         try:
+            if isinstance(frame, RequestError):
+                raise frame
             try:
-                payload = json.loads(text)
+                payload = json.loads(frame)
             except json.JSONDecodeError as error:
                 raise RequestError(
                     None, f"request is not valid JSON: {error}"
@@ -541,26 +624,32 @@ class DiffusionServer:
         client: _Client,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        first: bytes,
+        first: bytes | RequestError,
     ) -> None:
         client.replies = asyncio.Queue()
         client.writer_task = asyncio.get_running_loop().create_task(
             self._reply_writer(client.replies, writer)
         )
-        line: bytes | None = first
+        frame = first
         try:
             while True:
-                if line is None:
-                    line = await reader.readline()
-                    if not line:
-                        break
-                text = line.decode("utf-8", errors="replace").strip()
-                line = None
-                if not text:
-                    continue
-                # Enqueued at *read* time: replies stream back in this
-                # connection's request order, whatever order they resolve.
-                await client.replies.put(self._ingest(client, text))
+                if isinstance(frame, RequestError):
+                    # A line over MAX_FRAME: answered after the replies
+                    # already owed, then the connection closes.
+                    await client.replies.put(self._ingest(client, frame))
+                    break
+                if not frame:  # EOF
+                    break
+                text = frame.decode("utf-8", errors="replace").strip()
+                if text:
+                    # Enqueued at *read* time: replies stream back in this
+                    # connection's request order, whatever order they
+                    # resolve.
+                    await client.replies.put(self._ingest(client, text))
+                try:
+                    frame = await _read_line(reader)
+                except RequestError as error:
+                    frame = error
         finally:
             await client.replies.put(None)
             if not self._draining:
@@ -596,33 +685,20 @@ class DiffusionServer:
     ) -> None:
         line: bytes | None = first
         while True:
-            if line is None:
-                line = await reader.readline()
-                if not line.strip():
-                    break
-            parts = line.decode("latin-1").split()
-            line = None
-            if len(parts) != 3:
-                await self._write_http(
-                    writer,
-                    error_reply(RequestError(None, "malformed HTTP request line")),
-                    close=True,
+            try:
+                if line is None:
+                    line = await _read_line(reader)
+                    if not line.strip():
+                        break
+                verb, target, keep_alive, body = await _read_http_request(
+                    reader, line
                 )
+            except RequestError as error:
+                # A request the stream cannot continue past: answer, close.
+                reply = await self._ingest(client, error)
+                await self._write_http(writer, reply, close=True)
                 return
-            verb, target, version = parts
-            headers: dict[str, str] = {}
-            while True:
-                header = await reader.readline()
-                if header in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = header.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0") or 0)
-            body = await reader.readexactly(length) if length else b""
-            keep_alive = (
-                headers.get("connection", "").lower() != "close"
-                and version.upper() == "HTTP/1.1"
-            )
+            line = None
             if verb != "POST":
                 reply = error_reply(
                     RequestError(

@@ -11,12 +11,19 @@ pool.
 :class:`DiffusionService` is that front-end.  Clients ``submit()`` /
 ``submit_many()`` :class:`~repro.engine.jobs.DiffusionJob`\\ s from any
 asyncio coroutine and get one awaitable future per job.  A single drain
-loop micro-batches queued submissions (up to ``max_batch`` jobs, after at
-most ``max_linger`` seconds of lingering for batch-mates) and runs each
-batch through **one long-lived execution session**
+loop micro-batches queued submissions and runs each batch through **one
+long-lived execution session**
 (:meth:`repro.engine.BatchEngine.open_session`): the process pool starts
 once, the graph is exported into shared memory once, and every batch after
 that reuses both — no per-call pool start-up, no per-batch re-export.
+
+The drain loop is work-conserving: it takes the next batch (up to
+``max_batch`` jobs) as soon as a submission is queued and the previous
+batch is done, and never waits for batch-mates.  Batches still form
+under load, because batches run one at a time on the service's single
+worker thread: whatever is submitted while one batch runs is queued and
+rides the next.  A submission that reaches an idle service is dispatched
+at once.
 
 Scheduling is priority-aware.  Submissions carry a priority class
 (``"interactive"`` or ``"bulk"``); every drained batch takes interactive
@@ -164,13 +171,10 @@ class DiffusionService:
         following the chain's latest; requests may still pin any existing
         version explicitly, and ``update()`` keeps working.
     max_batch:
-        Most jobs one micro-batch may carry (default 32).  Smaller batches
-        mean lower interactive latency under bulk load, at some dispatch
-        overhead.
-    max_linger:
-        Longest time (seconds) a queued submission waits for batch-mates
-        before the batch is dispatched anyway (default 2 ms).  ``0``
-        dispatches immediately.
+        Most jobs one micro-batch may carry (default 32).  A batch is
+        whatever was queued while the previous batch ran, up to this
+        many jobs.  Smaller batches mean lower interactive latency under
+        bulk load, at some dispatch overhead.
     max_batch_cost:
         Optional cap on a batch's summed scheduler cost estimate
         (:func:`repro.engine.scheduler.estimate_cost` units).  A batch
@@ -197,19 +201,15 @@ class DiffusionService:
         *,
         options: "EngineOptions | None" = None,
         max_batch: int = 32,
-        max_linger: float = 0.002,
         max_batch_cost: float | None = None,
         **knobs: Any,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_linger < 0:
-            raise ValueError("max_linger must be >= 0")
         if max_batch_cost is not None and max_batch_cost <= 0:
             raise ValueError("max_batch_cost must be positive")
         self.engine = resolve_engine(graph, engine, options, **knobs)
         self.max_batch = max_batch
-        self.max_linger = max_linger
         self.max_batch_cost = max_batch_cost
         self.stats = ServiceStats()
         #: the version chain being served, or ``None`` for a static graph.
@@ -544,15 +544,6 @@ class DiffusionService:
                 wakeup.clear()
                 await wakeup.wait()
                 continue
-            # Linger briefly so near-simultaneous submissions share one
-            # batch — unless the batch is already full, or we're draining
-            # towards shutdown.
-            if (
-                self.max_linger > 0
-                and not self._closing
-                and self._pending_count() < self.max_batch
-            ):
-                await asyncio.sleep(self.max_linger)
             batch = self._next_batch()
             if not batch:  # everything queued had been cancelled
                 continue

@@ -242,7 +242,7 @@ class TestServeCommand:
                 {"id": "q3", "seeds": 1},
             ),
         )
-        assert main(["serve", str(path), "--max-linger", "0"]) == 0
+        assert main(["serve", str(path)]) == 0
         captured = capsys.readouterr()
         replies = [json.loads(line) for line in captured.out.splitlines()]
         assert [r["id"] for r in replies] == ["q1", "q2", "q3"]
@@ -431,9 +431,7 @@ class TestVersionFlags:
             "sys.stdin",
             io.StringIO("\n".join(json.dumps(r) for r in requests) + "\n"),
         )
-        assert main(
-            ["serve", str(path), "--updates", str(updates), "--max-linger", "0"]
-        ) == 0
+        assert main(["serve", str(path), "--updates", str(updates)]) == 0
         replies = {
             r["id"]: r
             for r in map(json.loads, capsys.readouterr().out.splitlines())

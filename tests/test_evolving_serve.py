@@ -66,7 +66,7 @@ class TestVersionedAdmission:
         chain = EvolvingGraph(base_graph)
 
         async def scenario():
-            async with DiffusionService(chain, max_linger=0.0) as service:
+            async with DiffusionService(chain) as service:
                 before = await service.submit(job_for(0))
                 version, stats = await service.update(
                     deletions=[incident_edge(base_graph, 0)]
@@ -85,7 +85,7 @@ class TestVersionedAdmission:
         chain = EvolvingGraph(base_graph)
 
         async def scenario():
-            async with DiffusionService(chain, max_linger=0.0) as service:
+            async with DiffusionService(chain) as service:
                 await service.update(deletions=[incident_edge(base_graph, 0)])
                 return await service.submit(job_for(0), graph_version=0)
 
@@ -96,7 +96,7 @@ class TestVersionedAdmission:
         chain = EvolvingGraph(base_graph)
 
         async def scenario():
-            async with DiffusionService(chain, max_linger=0.0) as service:
+            async with DiffusionService(chain) as service:
                 with pytest.raises(RequestError) as excinfo:
                     service.submit(job_for(0), graph_version=7)
                 return excinfo.value
@@ -106,7 +106,7 @@ class TestVersionedAdmission:
 
     def test_static_service_rejects_graph_version(self, base_graph):
         async def scenario():
-            async with DiffusionService(base_graph, max_linger=0.0) as service:
+            async with DiffusionService(base_graph) as service:
                 with pytest.raises(RequestError, match="static graph"):
                     service.submit(job_for(0), graph_version=0)
                 with pytest.raises(ValueError, match="EvolvingGraph"):
@@ -118,7 +118,7 @@ class TestVersionedAdmission:
         chain = EvolvingGraph(base_graph)
 
         async def scenario():
-            async with DiffusionService(chain, max_linger=0.0) as service:
+            async with DiffusionService(chain) as service:
                 edge = incident_edge(base_graph, 0)
                 await service.update(deletions=[edge])
                 await service.update(insertions=[edge])
@@ -140,7 +140,7 @@ class TestVersionedAdmission:
 
         async def scenario():
             async with DiffusionService(
-                chain, cache=cache, include_vectors=True, max_linger=0.0
+                chain, cache=cache, include_vectors=True
             ) as service:
                 await service.submit(job)
                 # Provably outside the entry's profile: it must survive.
@@ -183,7 +183,6 @@ class TestInterleavedUpdatesTorture:
                 cache=cache,
                 include_vectors=True,
                 max_batch=3,
-                max_linger=0.001,
             ) as service:
                 assert service.evolving is chain
 

@@ -280,8 +280,9 @@ class TestKnobSurfaces:
 
     @pytest.mark.skipif("c" not in available_kernels(), reason="no C compiler")
     def test_c_guards_its_id_arrays(self):
-        # The compiled scan and walk filter refuse ids that would index
-        # outside their arrays, whoever calls them.
+        # The compiled scan, walk filter, walk step and endpoint count
+        # refuse ids that would index outside their arrays, whoever calls
+        # them.
         c = get_kernels("c")
         graph = barbell_graph(6)
         offsets, neighbors = graph.offsets, graph.neighbors
@@ -296,6 +297,39 @@ class TestKnobSurfaces:
             c.walk_filter(offsets, np.asarray([0, -2]), np.asarray([1]))
         with pytest.raises(ValueError, match="out of range"):
             c.endpoint_count(graph.num_vertices, np.asarray([1, graph.num_vertices]))
+        # The walk step writes current[lane] and reads a neighbor picked by
+        # the uniform: every lane, vertex and uniform must keep both in
+        # bounds.  Vertex 2 of this CSR has no edges to pick from.
+        offsets = np.asarray([0, 1, 2, 2], dtype=np.int64)
+        neighbors = np.asarray([1, 0], dtype=np.int64)
+        for active, vertices, uniform in (
+            ([2], [0], 0.5),  # lane past len(current)
+            ([-1], [0], 0.5),
+            ([0], [3], 0.5),  # vertex past n
+            ([0], [-1], 0.5),
+            ([0], [2], 0.5),  # vertex without edges
+            ([0], [0], 1.0),  # uniform outside [0, 1)
+            ([0], [0], -0.25),
+            ([0], [0], np.nan),
+        ):
+            current = np.asarray([0, 1], dtype=np.int64)
+            with pytest.raises(ValueError, match="out of range"):
+                c.walk_advance(
+                    offsets, neighbors, current, np.asarray(active),
+                    np.asarray(vertices), np.asarray([uniform]),
+                )
+        current = np.asarray([0, 1], dtype=np.int64)
+        for vertices, uniforms in (([0, 1], [0.5]), ([0], [0.5, 0.5])):
+            with pytest.raises(ValueError, match="one vertex and one uniform"):
+                c.walk_advance(
+                    offsets, neighbors, current, np.asarray([0]),
+                    np.asarray(vertices), np.asarray(uniforms),
+                )
+        c.walk_advance(
+            offsets, neighbors, current, np.asarray([0, 1]),
+            np.asarray([0, 1]), np.asarray([0.0, 0.999]),
+        )
+        assert current.tolist() == [1, 0]
 
     def test_methods_without_twins_accept_the_knob(self):
         from repro import local_cluster

@@ -16,12 +16,14 @@ with real TCP sockets on ephemeral loopback ports.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 
 import pytest
 
 from repro.core import local_cluster
 from repro.serve import DiffusionServer, DiffusionService
+from repro.serve.net import MAX_FRAME
 
 PARAMS = {"alpha": 0.05, "eps": 1e-4}
 
@@ -86,7 +88,7 @@ class TestWireResults:
             return await roundtrip(server, *payloads)
 
         async def scenario():
-            async with DiffusionService(graph, max_linger=0.001) as service:
+            async with DiffusionService(graph) as service:
                 async with DiffusionServer(service) as server:
                     results = await asyncio.gather(
                         *(client(server, m, q) for m, q in queries.items())
@@ -112,7 +114,7 @@ class TestWireResults:
         request = {"v": 1, "seeds": [0], "params": dict(PARAMS), "id": "q"}
 
         async def scenario():
-            async with DiffusionService(graph, max_linger=0.001) as service:
+            async with DiffusionService(graph) as service:
                 async with DiffusionServer(service) as server:
                     ndjson = (await roundtrip(server, request))[0]
 
@@ -147,7 +149,7 @@ class TestPerClientOrdering:
         cheap third still stream back 1, 2, 3 on the same connection."""
 
         async def scenario():
-            async with DiffusionService(graph, max_linger=0.001) as service:
+            async with DiffusionService(graph) as service:
                 async with DiffusionServer(service) as server:
                     return await roundtrip(
                         server,
@@ -167,7 +169,7 @@ class TestPerClientOrdering:
 
     def test_default_reply_ids_are_positional(self, graph):
         async def scenario():
-            async with DiffusionService(graph, max_linger=0.001) as service:
+            async with DiffusionService(graph) as service:
                 async with DiffusionServer(service) as server:
                     return await roundtrip(
                         server, {"seeds": [0]}, {"seeds": [1]}, {"not json": 1e999}
@@ -203,7 +205,7 @@ class TestFairness:
             return reply, bulk_progress()
 
         async def scenario():
-            async with DiffusionService(graph, max_linger=0.001) as service:
+            async with DiffusionService(graph) as service:
                 async with DiffusionServer(service, max_inflight=1) as server:
                     def bulk_progress():
                         return server.stats.replies
@@ -231,7 +233,7 @@ class TestFairness:
 
         async def scenario():
             loop = asyncio.get_running_loop()
-            async with DiffusionService(graph, max_linger=0.001) as service:
+            async with DiffusionService(graph) as service:
                 async with DiffusionServer(service, rate=5, burst=1) as server:
                     begin = loop.time()
                     await roundtrip(
@@ -247,7 +249,7 @@ class TestFairness:
         queue, the third gets an immediate structured 429."""
 
         async def scenario():
-            async with DiffusionService(graph, max_linger=0.001) as service:
+            async with DiffusionService(graph) as service:
                 async with DiffusionServer(
                     service, max_pending=1, rate=5, burst=1
                 ) as server:
@@ -276,7 +278,7 @@ class TestDrain:
         in order, then EOF — nothing is dropped, nothing hangs."""
 
         async def scenario():
-            async with DiffusionService(graph, max_linger=0.001) as service:
+            async with DiffusionService(graph) as service:
                 server = await DiffusionServer(service).start()
                 reader, writer = await connect(server)
                 for i in range(5):
@@ -298,7 +300,7 @@ class TestDrain:
 
     def test_new_connections_refused_after_close(self, graph):
         async def scenario():
-            async with DiffusionService(graph, max_linger=0.001) as service:
+            async with DiffusionService(graph) as service:
                 server = await DiffusionServer(service).start()
                 address = server.address
                 await server.close()
@@ -309,7 +311,7 @@ class TestDrain:
 
     def test_close_is_idempotent_and_unstarted_close_is_safe(self, graph):
         async def scenario():
-            async with DiffusionService(graph, max_linger=0.001) as service:
+            async with DiffusionService(graph) as service:
                 await DiffusionServer(service).close()  # never started
                 server = await DiffusionServer(service).start()
                 await server.close()
@@ -323,7 +325,7 @@ class TestHTTPFraming:
         """Write one raw HTTP request, return (status_line, reply_dict)."""
 
         async def scenario(graph):
-            async with DiffusionService(graph, max_linger=0.001) as service:
+            async with DiffusionService(graph) as service:
                 async with DiffusionServer(service) as server:
                     reader, writer = await connect(server)
                     writer.write(raw)
@@ -373,7 +375,7 @@ class TestHTTPFraming:
 
     def test_keep_alive_serves_consecutive_posts(self, graph):
         async def scenario():
-            async with DiffusionService(graph, max_linger=0.001) as service:
+            async with DiffusionService(graph) as service:
                 async with DiffusionServer(service) as server:
                     reader, writer = await connect(server)
                     replies = []
@@ -404,10 +406,162 @@ class TestHTTPFraming:
         assert all(r["size"] > 0 for r in replies)
 
 
+async def read_http_reply(reader):
+    """One HTTP reply: (status line, headers dict, decoded JSON body)."""
+    status = (await reader.readline()).decode()
+    headers = {}
+    while True:
+        header = await reader.readline()
+        if header in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = header.decode().partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = await reader.readexactly(int(headers["content-length"]))
+    return status, headers, json.loads(body)
+
+
+async def read_to_eof(reader):
+    """What the server still sends before it closes the connection."""
+    try:
+        return await reader.read()
+    except ConnectionResetError:  # it closed with our input unread
+        return b""
+
+
+class TestFrameLimit:
+    """A frame over MAX_FRAME, or an HTTP Content-Length that is not a
+    non-negative integer, gets a structured error reply after the replies
+    the connection already owes; then the connection closes.  The loop's
+    exception handler records nothing, and a new connection is served."""
+
+    OVERSIZED = {"id": "huge", "seeds": list(range(40000))}  # ~240 KB
+
+    def run(self, graph, exchange):
+        """``exchange(server)`` on a fresh server, then a round trip on a
+        new connection; returns (exchange's result, server stats)."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            handled = []
+            loop.set_exception_handler(lambda _, context: handled.append(context))
+            async with DiffusionService(graph) as service:
+                async with DiffusionServer(service) as server:
+                    # A server that waits for bytes never sent fails here.
+                    result = await asyncio.wait_for(exchange(server), 30)
+                    (after,) = await roundtrip(
+                        server, {"id": "next", "seeds": [0], "params": dict(PARAMS)}
+                    )
+            gc.collect()  # a never-retrieved task exception reports here
+            return result, after, server.stats, handled
+
+        result, after, stats, handled = asyncio.run(scenario())
+        assert handled == []
+        assert after["id"] == "next" and after["size"] > 0
+        return result, stats
+
+    def test_oversized_first_line_is_413(self, graph):
+        assert len(json.dumps(self.OVERSIZED)) > MAX_FRAME
+
+        async def exchange(server):
+            reader, writer = await connect(server)
+            await send(writer, self.OVERSIZED)
+            reply = await recv(reader)
+            rest = await read_to_eof(reader)
+            writer.close()
+            return reply, rest
+
+        (reply, rest), stats = self.run(graph, exchange)
+        assert reply["id"] == 1  # positional: the frame was never parsed
+        assert reply["error"]["code"] == 413
+        assert str(MAX_FRAME) in reply["error"]["message"]
+        assert rest == b""
+        assert stats.connections == 2
+        assert stats.requests == 2 and stats.rejected == 1
+
+    def test_oversized_line_answered_after_owed_replies(self, graph):
+        async def exchange(server):
+            reader, writer = await connect(server)
+            await send(writer, {"id": "q1", "seeds": [0], "params": dict(PARAMS)})
+            await send(writer, {"id": "q2", "seeds": [1], "params": dict(PARAMS)})
+            await send(writer, self.OVERSIZED)
+            replies = [await recv(reader) for _ in range(3)]
+            rest = await read_to_eof(reader)
+            writer.close()
+            return replies, rest
+
+        (replies, rest), stats = self.run(graph, exchange)
+        assert [r["id"] for r in replies] == ["q1", "q2", 3]
+        assert replies[0]["size"] > 0 and replies[1]["size"] > 0
+        assert replies[2]["error"]["code"] == 413
+        assert rest == b""
+        assert stats.requests == 4 and stats.rejected == 1
+
+    @pytest.mark.parametrize(
+        "head, code",
+        [
+            (b"POST / HTTP/1.1\r\nX-Big: " + b"a" * (MAX_FRAME + 1) + b"\r\n\r\n", 413),
+            (b"POST / HTTP/1.1\r\n" + b"X-Pad: abcdefghijklmnopqrstuvwxyz\r\n" * 2400
+             + b"\r\n", 413),
+            (b"POST / HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (MAX_FRAME + 1), 413),
+            (b"POST / HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+            (b"POST / HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+        ],
+        ids=["header-line", "header-block", "body", "negative-length", "bad-length"],
+    )
+    def test_http_frame_errors(self, graph, head, code):
+        async def exchange(server):
+            reader, writer = await connect(server)
+            # A declared body is never sent: the reply must not wait for it.
+            writer.write(head)
+            await writer.drain()
+            reply = await read_http_reply(reader)
+            rest = await read_to_eof(reader)
+            writer.close()
+            return reply, rest
+
+        ((status, headers, body), rest), stats = self.run(graph, exchange)
+        assert status.startswith(f"HTTP/1.1 {code} ")
+        assert headers["connection"] == "close"
+        assert body["error"]["code"] == code
+        if code == 413:
+            assert status.startswith("HTTP/1.1 413 Payload Too Large")
+        else:
+            assert "Content-Length" in body["error"]["message"]
+        assert body["id"] == 1  # positional, as for every HTTP request
+        assert rest == b""
+        assert stats.requests == 2 and stats.rejected == 1
+
+    def test_frames_of_exactly_max_frame_bytes_are_served(self, graph):
+        # Padded through a field the loose dialect ignores.
+        request = {"id": "edge", "seeds": [0], "params": dict(PARAMS), "pad": ""}
+        request["pad"] = "x" * (MAX_FRAME - len(json.dumps(request)))
+        frame = json.dumps(request).encode()
+        assert len(frame) == MAX_FRAME
+
+        async def exchange(server):
+            reader, writer = await connect(server)
+            writer.write(frame + b"\n")
+            ndjson = await recv(reader)
+            writer.close()
+            reader, writer = await connect(server)
+            writer.write(
+                b"POST / HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (len(frame), frame)
+            )
+            status, _, http = await read_http_reply(reader)
+            writer.close()
+            return ndjson, status, http
+
+        (ndjson, status, http), stats = self.run(graph, exchange)
+        assert ndjson["id"] == "edge" and ndjson["size"] > 0
+        assert status.startswith("HTTP/1.1 200 OK")
+        assert http["id"] == "edge" and http["size"] == ndjson["size"]
+        assert stats.rejected == 0
+
+
 class TestWireValidation:
     def test_structured_errors_name_the_offending_field(self, graph):
         async def scenario():
-            async with DiffusionService(graph, max_linger=0.001) as service:
+            async with DiffusionService(graph) as service:
                 async with DiffusionServer(service) as server:
                     return await roundtrip(
                         server,

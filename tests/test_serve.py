@@ -65,7 +65,7 @@ class TestServiceResults:
             return results
 
         async def scenario():
-            async with DiffusionService(graph, max_linger=0.001) as service:
+            async with DiffusionService(graph) as service:
                 return await asyncio.gather(
                     *(client(service, seeds) for seeds in client_seeds.values())
                 )
@@ -79,7 +79,7 @@ class TestServiceResults:
         reference = BatchEngine(graph).run(jobs_for(seeds))
 
         async def scenario():
-            async with DiffusionService(graph, max_batch=2, max_linger=0.0) as service:
+            async with DiffusionService(graph, max_batch=2) as service:
                 futures = service.submit_many(jobs_for(seeds))
                 outcomes = await asyncio.gather(*futures)
                 return outcomes, service.stats
@@ -103,7 +103,7 @@ class TestServiceResults:
                     lambda _: completions[client].append(position)
                 )
 
-            async with DiffusionService(graph, max_batch=3, max_linger=0.01) as service:
+            async with DiffusionService(graph, max_batch=3) as service:
                 futures = []
                 for position, (seed_a, seed_b) in enumerate(
                     zip((0, 150, 300, 450), (50, 200, 350, 500))
@@ -126,7 +126,7 @@ class TestServiceResults:
 
         async def scenario():
             order: list[str] = []
-            async with DiffusionService(graph, max_batch=2, max_linger=0.0) as service:
+            async with DiffusionService(graph, max_batch=2) as service:
                 bulk = service.submit_many(jobs_for((0, 100, 200, 300, 400, 500)))
                 interactive = service.submit(jobs_for([599])[0])
                 interactive.add_done_callback(lambda _: order.append("interactive"))
@@ -145,14 +145,90 @@ class TestServiceResults:
         cap = estimate_cost(job) * 1.5
 
         async def scenario():
-            async with DiffusionService(
-                graph, max_linger=0.01, max_batch_cost=cap
-            ) as service:
+            async with DiffusionService(graph, max_batch_cost=cap) as service:
                 futures = service.submit_many(jobs_for((0, 100, 200)))
                 await asyncio.gather(*futures)
                 return service.stats.batches
 
         assert asyncio.run(scenario()) == 3
+
+
+class TestWorkConservingDrain:
+    """The drain loop never waits for batch-mates: an idle service runs a
+    lone submission at once, and batches still form from whatever queues
+    while the previous batch runs on the service's one worker thread."""
+
+    def test_idle_service_dispatches_without_a_timer(self, graph, monkeypatch):
+        import repro.serve.service as service_module
+
+        delays = []
+
+        class SpiedAsyncio:
+            """The asyncio module as the service sees it, sleep recorded."""
+
+            def __getattr__(self, name):
+                return getattr(asyncio, name)
+
+            async def sleep(self, delay, *args, **kwargs):
+                delays.append(delay)
+                return await asyncio.sleep(delay, *args, **kwargs)
+
+        monkeypatch.setattr(service_module, "asyncio", SpiedAsyncio())
+
+        async def scenario():
+            async with DiffusionService(graph) as service:
+                outcome = await service.submit(jobs_for([0])[0])
+                return outcome, service.stats.batches
+
+        outcome, batches = asyncio.run(scenario())
+        assert delays == []
+        assert batches == 1
+        assert_outcomes_match(BatchEngine(graph).run(jobs_for([0])), [outcome])
+
+    def test_batches_form_while_the_previous_batch_runs(self, graph):
+        import threading
+
+        entered, release = threading.Event(), threading.Event()
+        sizes = []
+
+        class HeldSession:
+            """The real session, except that the first batch waits."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def run(self, jobs):
+                jobs = list(jobs)
+                sizes.append(len(jobs))
+                if len(sizes) == 1:
+                    entered.set()
+                    release.wait(timeout=60)
+                return self.inner.run(jobs)
+
+            def close(self):
+                self.inner.close()
+
+        seeds = (0, 150, 300, 450)
+
+        async def scenario():
+            service = DiffusionService(graph)
+            open_session = service.engine.open_session
+            service.engine.open_session = lambda: HeldSession(open_session())
+            loop = asyncio.get_running_loop()
+            async with service:
+                try:
+                    first = service.submit(jobs_for(seeds[:1])[0])
+                    assert await loop.run_in_executor(None, entered.wait, 60)
+                    rest = [service.submit(job) for job in jobs_for(seeds[1:])]
+                finally:
+                    release.set()
+                outcomes = await asyncio.gather(first, *rest)
+                return outcomes, service.stats.batches
+
+        outcomes, batches = asyncio.run(scenario())
+        assert sizes == [1, 3]
+        assert batches == 2
+        assert_outcomes_match(BatchEngine(graph).run(jobs_for(seeds)), outcomes)
 
 
 class TestServiceLifecycle:
@@ -161,7 +237,7 @@ class TestServiceLifecycle:
         same service still complete."""
 
         async def scenario():
-            async with DiffusionService(graph, max_linger=0.2) as service:
+            async with DiffusionService(graph) as service:
                 futures = service.submit_many(jobs_for((0, 100, 200, 300)))
                 futures[1].cancel()
                 futures[2].cancel()
@@ -190,7 +266,7 @@ class TestServiceLifecycle:
         the session down."""
 
         async def scenario():
-            service = DiffusionService(graph, max_linger=0.05)
+            service = DiffusionService(graph)
             futures = None
 
             async def run():
@@ -228,8 +304,6 @@ class TestServiceLifecycle:
     def test_constructor_validation(self, graph):
         with pytest.raises(ValueError, match="max_batch"):
             DiffusionService(graph, max_batch=0)
-        with pytest.raises(ValueError, match="max_linger"):
-            DiffusionService(graph, max_linger=-1.0)
         with pytest.raises(ValueError, match="max_batch_cost"):
             DiffusionService(graph, max_batch_cost=0.0)
         assert PRIORITIES == ("interactive", "bulk")
@@ -389,9 +463,7 @@ class TestServicePool:
         reference = BatchEngine(graph).run(jobs_for(seeds))
 
         async def scenario():
-            async with DiffusionService(
-                graph, workers=2, max_batch=2, max_linger=0.0
-            ) as service:
+            async with DiffusionService(graph, workers=2, max_batch=2) as service:
                 outcomes = await asyncio.gather(*service.submit_many(jobs_for(seeds)))
                 return outcomes, service.session.batches
 
@@ -413,7 +485,7 @@ class TestServicePool:
 
         async def scenario():
             async with DiffusionService(
-                graph, workers=2, start_method="spawn", max_batch=2, max_linger=0.0
+                graph, workers=2, start_method="spawn", max_batch=2
             ) as service:
                 await asyncio.gather(*service.submit_many(jobs_for((0, 100, 200, 300))))
                 first = segments()
