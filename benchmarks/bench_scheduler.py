@@ -22,9 +22,11 @@ The comparison runs on exactly the straggler workload:
    list-scheduling simulation (units assigned, in dispatch order, to the
    earliest-free of W workers) using the *measured* durations — giving
    exact makespan and per-worker idle with zero timing noise.
-3. ``fifo`` and ``cost`` also run for real through the process backend
-   (``cost-chunks`` is simulation-only: the executor now always steals),
-   the outcomes are asserted bit-identical to serial, and the backend's
+3. ``fifo`` and ``cost`` also run for real through a process pool opened
+   with ``open_session()`` (``cost-chunks`` is simulation-only: the
+   executor now always steals; a one-shot ``engine.run`` would keep a
+   batch this short in-process at smoke scale), the outcomes are
+   asserted bit-identical to serial, and the backend's
    :class:`~repro.engine.DispatchStats` (per-worker busy/idle/steals)
    plus the online cost-calibration snapshot land in the summary.
 
@@ -42,10 +44,11 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import time
 
 import numpy as np
 
-from repro.bench import batched_run, format_seconds, format_table, write_csv
+from repro.bench import BatchRun, format_seconds, format_table, write_csv
 from repro.core.seeding import random_seeds
 from repro.engine import BatchEngine, plan_chunks, plan_units, run_job
 from repro.engine.reducers import StatsReducer
@@ -72,6 +75,20 @@ def plan_for(schedule, jobs):
     if schedule == "cost-chunks":
         return plan_chunks(jobs, WORKERS, schedule="cost")
     return plan_units(jobs, WORKERS, schedule=schedule)
+
+
+def pooled_run(engine, jobs):
+    """``jobs`` through a pool opened for them, timed; ``value`` and
+    ``stats`` are one :class:`StatsReducer` final with the engine's
+    dispatch accounting and calibration."""
+    reducer = StatsReducer(engine=engine)
+    start = time.perf_counter()
+    with engine.open_session() as session:
+        for outcome in session.run(jobs):
+            reducer.update(outcome)
+    wall = time.perf_counter() - start
+    stats = reducer.finalize()
+    return BatchRun(value=stats, stats=stats, wall_seconds=wall, workers=engine.workers)
 
 
 def simulate_schedule(units, durations, workers):
@@ -125,7 +142,7 @@ def test_scheduler_straggler_tail(benchmark, graphs):
                 include_vectors=False,
                 schedule=schedule,
             )
-            real[schedule] = batched_run(engine, jobs, StatsReducer(engine=engine))
+            real[schedule] = pooled_run(engine, jobs)
         return durations, simulated, real, serial
 
     durations, simulated, real, serial = benchmark.pedantic(

@@ -5,9 +5,10 @@ The ROADMAP's serving scenario: one machine answers interactive
 the same worker pool.  Two ways to build that:
 
 * **naive** — every interactive query constructs a fresh
-  ``BatchEngine(backend="process")`` and calls ``run([job])``, paying pool
-  start-up (and, under non-fork start methods, a full shared-memory graph
-  export) per call, while the bulk batch runs on its own engine.
+  ``BatchEngine(backend="process")`` and runs ``[job]`` on a session of
+  its own, paying pool start-up (and, under non-fork start methods, a full
+  shared-memory graph export) per call, while the bulk batch runs on its
+  own engine and pool.
 * **service** — one :class:`repro.serve.DiffusionService`: bulk jobs are
   ``submit_many``-ed at bulk priority, interactive queries drain ahead of
   the backlog, and every micro-batch reuses one long-lived pool and one
@@ -87,7 +88,12 @@ def percentiles(latencies):
 
 
 def run_naive(graph):
-    """Per-call engines for interactive queries; bulk on its own engine."""
+    """Per-call engines for interactive queries; bulk on its own engine.
+
+    Each run goes through its own ``open_session()``, which always starts
+    a pool: a one-shot ``engine.run`` of a batch this short would stay
+    in-process and measure something else.
+    """
     background = BatchEngine(
         graph,
         backend="process",
@@ -100,7 +106,8 @@ def run_naive(graph):
 
     def grind():
         start = time.perf_counter()
-        bulk_done["outcomes"] = background.run(bulk)
+        with background.open_session() as session:
+            bulk_done["outcomes"] = list(session.run(bulk))
         bulk_done["wall"] = time.perf_counter() - start
 
     thread = threading.Thread(target=grind)
@@ -118,7 +125,8 @@ def run_naive(graph):
             start_method=START_METHOD,
             include_vectors=False,
         )
-        outcomes.append(engine.run([job])[0])
+        with engine.open_session() as session:
+            outcomes.extend(session.run([job]))
         latencies.append(time.perf_counter() - start)
     thread.join()
     return {

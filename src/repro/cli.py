@@ -386,7 +386,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     fixed = _parse_params(args.param)
     jobs = list(job_grid(seeds, args.method, grid, params=fixed, rng=args.rng))
 
-    workers = max(1, args.workers)
     cache = _cache_from_args(args)
     engine = BatchEngine(graph, options=_engine_options(args, cache, include_vectors=False))
     # Stream outcomes straight to CSV so a large batch never lives in memory.
@@ -410,9 +409,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - start
     stats = stats_reducer.finalize()
     best = best_reducer.finalize()
+    # A process backend pools only a batch long enough to repay the pool.
+    pooled = stats.dispatch is not None and stats.dispatch["batches"] > 0
     print(
         f"batch: {stats.jobs} jobs ({stats.completed} with support) on {graph!r} "
-        f"via {workers} worker(s)"
+        + (f"via {engine.workers} worker(s)" if pooled else "in-process")
     )
     print(
         f"throughput: {wall:.3f}s wall, {stats.jobs_per_second(wall):.1f} jobs/s, "
@@ -436,6 +437,13 @@ def _print_scheduler_stats(engine: BatchEngine, stats) -> None:
     dispatch = stats.dispatch
     if dispatch is None:
         print("scheduler: no pool dispatch (serial or sharded backend)")
+    elif dispatch["batches"] == 0:
+        reason = (
+            "every job was a cache hit"
+            if stats.cache_hits == stats.jobs
+            else "too short to repay a pool"
+        )
+        print(f"scheduler: no pool dispatch (the batch ran in-process: {reason})")
     else:
         print(
             f"scheduler: {dispatch['units']} units, {dispatch['steals']} steals, "
@@ -740,7 +748,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="process-pool workers for the batch engine (1 = serial)",
+        help="process-pool workers for the batch engine (1 = serial); a run "
+        "too short to repay a pool runs in-process",
     )
     _add_pool_flags(ncp)
     _add_kernel_flag(ncp)
@@ -779,7 +788,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="fixed parameter override applied to every job (repeatable)",
     )
     batch.add_argument(
-        "--workers", type=int, default=1, help="process-pool workers (1 = serial)"
+        "--workers",
+        type=int,
+        default=1,
+        help="process-pool workers (1 = serial); a batch too short to repay "
+        "a pool runs in-process",
     )
     batch.add_argument("--rng", type=int, default=0)
     batch.add_argument(

@@ -230,6 +230,12 @@ def cluster_many(
     over :func:`local_cluster` result-for-result.  Randomized methods draw
     one sub-seed per job from ``rng`` up front, so results do not depend
     on the backend, the worker count, or the completion order.
+    With ``workers`` above 1 the jobs run in-process, in job order, until
+    the ones left project past the pool's break-even
+    (:data:`repro.engine.scheduler.POOL_BREAK_EVEN_SECONDS`, measured only
+    at ``workers=2`` under ``fork`` on a 2-vCPU host); only then does a
+    pool of ``workers`` take them.  A batch too short to repay a pool runs
+    wholly in-process, with identical results.
 
     ``cache`` memoises per-job outcomes (``True``, a cache directory, or
     a :class:`repro.cache.ResultCache`); repeated seed lists — common in

@@ -107,7 +107,13 @@ def ncp_profile(
     An engine built here skips the diffusion vectors (the profile needs
     only the sweeps); ``parallel`` defaults to the engine default (on).
     The pointwise-minimum reduction is order- and partition-independent,
-    so results are bit-identical at every worker count.
+    so results are bit-identical at every worker count.  With ``workers``
+    above 1 the jobs run in-process, in job order, until the ones left
+    project past the pool's break-even
+    (:data:`repro.engine.scheduler.POOL_BREAK_EVEN_SECONDS`, measured only
+    at ``workers=2`` under ``fork`` on a 2-vCPU host); only then does a
+    pool of ``workers`` take them.  A call too short to repay a pool runs
+    wholly in-process, with identical results.
 
     ``cache`` memoises per-job outcomes (``True``, a cache directory, or a
     :class:`repro.cache.ResultCache`): re-running a profile, or running an

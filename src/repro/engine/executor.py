@@ -38,9 +38,14 @@ plane (:mod:`repro.serve`) multiplex many clients onto one pool instead of
 paying pool start-up per call.  :meth:`PoolBackend.stream` is the one
 one-shot path: it opens a session, runs the single batch, and closes the
 session deterministically — including when the caller abandons the
-iterator via ``close()``.  Every session applies the engine's default
+iterator via ``close()``.  For the process backend a one-shot batch first
+decides whether a pool can pay for itself: its jobs run in-process, in
+job order, until the jobs left project past
+:data:`~repro.engine.scheduler.POOL_BREAK_EVEN_SECONDS`, and only then
+does a pool open for them.  Every session applies the engine's default
 kernel and, for an engine tracking an evolving graph, its freshness check
-in :meth:`ExecutionSession.run` itself.
+in :meth:`ExecutionSession.run` itself (the one-shot path stamps the
+kernel before it runs anything).
 
 A third backend, :class:`repro.cache.CachingBackend`, wraps either of the
 above so that only cache misses are dispatched; construct engines with
@@ -58,8 +63,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,7 +75,7 @@ from ..core.sweep import sweep_cut
 from ..graph.csr import CSRGraph
 from ..kernels import ensure_warm, resolve_kernel
 from ..prims.sparse import SparseDict
-from ..runtime import record, track
+from ..runtime import detached, record, track
 from ..runtime.cost_model import CostModel
 from .jobs import DiffusionJob
 from .reducers import CollectReducer, Reducer
@@ -79,6 +85,7 @@ from .scheduler import (
     fifo_chunk_size,
     observe_outcome,
     plan_units,
+    pool_pays,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -388,6 +395,14 @@ class DispatchStats:
         }
 
 
+def _with_kernel(jobs: Iterable[DiffusionJob], kernel: str | None) -> list[DiffusionJob]:
+    """``jobs`` with ``kernel`` stamped on every job that names none."""
+    return [
+        job if kernel is None or job.kernel is not None else replace(job, kernel=kernel)
+        for job in jobs
+    ]
+
+
 class ExecutionSession:
     """A prepared execution environment that serves consecutive batches.
 
@@ -439,27 +454,27 @@ class ExecutionSession:
             raise RuntimeError("session is closed")
         if self._tracking is not None:
             self._tracking._check_fresh(self)
-        kernel = self._kernel
-        return self._dispatch(
-            [
-                job if kernel is None or job.kernel is not None else replace(job, kernel=kernel)
-                for job in jobs
-            ]
-        )
+        return self._dispatch(_with_kernel(jobs, self._kernel))
 
     def _dispatch(self, jobs: Sequence[DiffusionJob]) -> Iterator[JobOutcome]:
         self.batches += 1
         return self._run(jobs)
 
     def _run(self, jobs: Sequence[DiffusionJob]) -> Iterator[JobOutcome]:
+        # A backend that records each batch's aggregate cost itself (the
+        # process pool, running a short batch here) keeps the per-job
+        # records out of the caller's tracker.
+        region = nullcontext if self.backend.folds_into_tracker else detached
         for index, job in enumerate(jobs):
-            yield run_job(
-                self.graph,
-                job,
-                index=index,
-                parallel=self.parallel,
-                include_vector=self.include_vectors,
-            )
+            with region():
+                outcome = run_job(
+                    self.graph,
+                    job,
+                    index=index,
+                    parallel=self.parallel,
+                    include_vector=self.include_vectors,
+                )
+            yield outcome
 
     def close(self) -> None:
         self._closed = True
@@ -570,11 +585,14 @@ class PoolBackend:
     after another in the calling process, outcomes in job order — is both
     :class:`SerialBackend`'s whole behaviour and the single place any
     in-process execution lives.  :meth:`stream` is the only
-    open→run→close path, shared by every backend.
+    open→run→close path, shared by every backend; the process backend
+    overrides only :meth:`_one_shot_gate`, which lets a short batch finish
+    in-process instead of opening a session.
     """
 
     #: per-job costs reach the caller's tracker via nested track() when
-    #: jobs run in-process; pool subclasses record an aggregate instead.
+    #: jobs run in-process; pool subclasses record an aggregate instead,
+    #: also for the jobs they run in-process.
     folds_into_tracker = True
     workers = 1
 
@@ -587,6 +605,18 @@ class PoolBackend:
         """A session serving consecutive batches (see :class:`ExecutionSession`)."""
         return ExecutionSession(self, graph, parallel, include_vectors)
 
+    def _one_shot_gate(
+        self, jobs: Sequence[DiffusionJob]
+    ) -> Callable[[JobOutcome], bool] | None:
+        """How :meth:`stream` runs a one-shot batch.
+
+        ``None`` (every backend but the process pool): open a session for
+        the whole batch.  Otherwise a predicate: the batch runs in-process,
+        in job order, and the predicate sees each outcome; the first
+        ``True`` opens a session for the jobs left.
+        """
+        return None
+
     def stream(
         self,
         graph: CSRGraph,
@@ -597,20 +627,41 @@ class PoolBackend:
     ) -> Iterator[JobOutcome]:
         """Run one batch through a session opened and closed for it.
 
-        An empty batch opens nothing.  Teardown is deterministic even for
-        an abandoned iterator: closing the generator raises GeneratorExit
-        at the yield, and the ``finally`` closes the session (terminating
-        a pool, unlinking shared-memory exports).
+        An empty batch opens nothing.  A backend with a
+        :meth:`_one_shot_gate` runs the batch in-process first (the base
+        session's loop) and opens a session only for the jobs left once
+        its gate passes on an outcome, before that outcome is yielded;
+        their outcomes are renumbered into the batch.  A batch the gate
+        never passes on opens none.  Teardown is deterministic even for an
+        abandoned iterator: closing the generator raises GeneratorExit at
+        the yield, and the ``finally`` closes the session (terminating a
+        pool, unlinking shared-memory exports).
         """
-        jobs = list(jobs)
+        jobs = _with_kernel(jobs, kernel)
         if not jobs:
             return
-        session = self.open_session(graph, parallel, include_vectors)
-        session._kernel = kernel
+        gate = self._one_shot_gate(jobs)
+        session = None
+        if gate is None:
+            session = self.open_session(graph, parallel, include_vectors)
+        done = 0
         try:
-            yield from session.run(jobs)
+            if gate is not None:
+                inline = ExecutionSession(self, graph, parallel, include_vectors)
+                for outcome in inline.run(jobs):
+                    done += 1
+                    if done < len(jobs) and gate(outcome):
+                        session = self.open_session(graph, parallel, include_vectors)
+                    yield outcome
+                    if session is not None:
+                        break
+                else:
+                    return
+            for outcome in session.run(jobs[done:]):
+                yield replace(outcome, index=done + outcome.index) if done else outcome
         finally:
-            session.close()
+            if session is not None:
+                session.close()
 
 
 class SerialBackend(PoolBackend):
@@ -648,6 +699,17 @@ class ProcessPoolBackend(PoolBackend):
     contiguous count-based slicing.  ``chunk_size`` keeps its historical
     "jobs per IPC round-trip" meaning under both schedules.  Per-worker
     busy/idle/steal accounting accumulates on ``backend.dispatch``.
+
+    A one-shot batch (:meth:`PoolBackend.stream`, behind
+    ``BatchEngine.run``/``map``) opens a pool of ``workers`` only once it
+    can repay it: its jobs run in-process, in job order, each folded into
+    the cost model, until the jobs left project past
+    :data:`~repro.engine.scheduler.POOL_BREAK_EVEN_SECONDS` of in-process
+    time (:func:`~repro.engine.scheduler.pool_pays`); a batch that never
+    does finishes in-process, with identical results and no pool started.
+    That constant was measured only with ``workers=2`` under ``fork`` on
+    a 2-vCPU host.  Sessions (``open_session()``, and so the serving
+    plane) always pool.
 
     Units execute out of order across workers, but every outcome carries
     its original index and the stream re-emits them **in job order**, so
@@ -713,6 +775,24 @@ class ProcessPoolBackend(PoolBackend):
     ) -> PoolSession:
         """Start the pool and export the graph once; see :class:`PoolSession`."""
         return PoolSession(self, graph, parallel, include_vectors)
+
+    def _one_shot_gate(
+        self, jobs: Sequence[DiffusionJob]
+    ) -> Callable[[JobOutcome], bool]:
+        """Fold each in-process outcome into the cost model and re-project
+        the jobs left from the mean seconds per job measured so far; pool
+        them once :func:`~repro.engine.scheduler.pool_pays`."""
+        model = self.cost_model
+        seconds = 0.0
+
+        def gate(outcome: JobOutcome) -> bool:
+            nonlocal seconds
+            observe_outcome(model, outcome)
+            seconds += outcome.wall_seconds
+            done = outcome.index + 1
+            return pool_pays(seconds, done, len(jobs) - done)
+
+        return gate
 
 
 class BatchEngine:

@@ -23,6 +23,12 @@ This module is the scheduler plane that replaces it.  It has two halves:
   cost under the estimate — the classic 2-approximation guarantee, which
   the property tests assert directly.
 
+A third, smaller decision comes before any of that: whether a one-shot
+batch should start a pool at all.  Its jobs run in-process, in job order,
+and after each one :func:`pool_pays` projects the in-process time of the
+jobs left from the mean seconds per job measured so far, against
+:data:`POOL_BREAK_EVEN_SECONDS`.
+
 Chunks are emitted heaviest-first, so the most expensive work starts the
 moment the pool does and the tail of the batch is made of cheap chunks
 that cannot straggle.  Determinism is unaffected: chunk packing decides
@@ -69,6 +75,8 @@ __all__ = [
     "plan_units",
     "steal_unit_size",
     "observe_outcome",
+    "POOL_BREAK_EVEN_SECONDS",
+    "pool_pays",
     "chunk_costs",
     "fifo_chunk_size",
 ]
@@ -345,3 +353,32 @@ def plan_units(
         [(i, jobs[i]) for i in order[start : start + size]]
         for start in range(0, len(order), size)
     ]
+
+
+#: projected in-process seconds past which the jobs left in a one-shot
+#: batch on the process backend get a pool.  A pool pays a fixed price
+#: per call (start 8-11 ms and close 5-6 ms under ``fork``, and the
+#: workers' first jobs run cold) that only a long enough batch repays.
+#: Measured in one configuration only: ``ncp_profile`` calls on the
+#: soc-LJ proxy, ``workers=2``, ``fork``, a 2-vCPU host, where in-process
+#: and pooled calls break even at 24-28 seeds, ~0.3 s of serial time
+#: (docs/scheduling.md, "When the engine skips the pool").  More workers
+#: should lower the break-even and ``spawn``/``forkserver`` pools (slower
+#: to start) raise it; neither has been measured.
+POOL_BREAK_EVEN_SECONDS = 0.3
+
+
+def pool_pays(seconds: float, done: int, left: int) -> bool:
+    """Whether the ``left`` jobs of a one-shot batch are worth a pool:
+    at the mean of ``seconds`` over the ``done`` jobs run in-process so
+    far, they project past :data:`POOL_BREAK_EVEN_SECONDS`.
+
+    Per job, not per :func:`estimate_cost` unit: the work bounds are loose
+    by orders of magnitude that vary with the parameters.  On the NCP
+    grid the first job in job order (the largest alpha and eps) bounds
+    1/100 of the work of the heaviest but takes a fifth of its time (1.2
+    vs 6.3 ms), so a projection per estimated unit read 10-30x the true
+    serial time of a call, while the mean per job converges within one
+    seed's grid.
+    """
+    return seconds * left > POOL_BREAK_EVEN_SECONDS * done

@@ -9,6 +9,7 @@ from .cost_model import (
     CategoryCost,
     WorkDepthTracker,
     current_tracker,
+    detached,
     log2ceil,
     ppr_push_work_bound,
     random_walk_work_bound,
@@ -23,6 +24,7 @@ __all__ = [
     "CategoryCost",
     "WorkDepthTracker",
     "current_tracker",
+    "detached",
     "log2ceil",
     "record",
     "track",

@@ -45,6 +45,7 @@ __all__ = [
     "CostModel",
     "WorkDepthTracker",
     "track",
+    "detached",
     "record",
     "current_tracker",
     "log2ceil",
@@ -339,3 +340,25 @@ def track() -> Iterator[WorkDepthTracker]:
         _CURRENT.reset(token)
         if outer is not None:
             outer.merge(tracker)
+
+
+@contextmanager
+def detached() -> Iterator[None]:
+    """Run a region with no active tracker.
+
+    Nothing recorded inside reaches the caller's tracker, not even through
+    a nested :func:`track` (it has no outer tracker to fold into).  A
+    process-pool backend that runs a short batch in-process uses this so
+    the caller still sees only the batch aggregate a pooled run records.
+
+    >>> with track() as tracker:
+    ...     with detached():
+    ...         record(work=100, depth=5)
+    >>> tracker.work
+    0.0
+    """
+    token = _CURRENT.set(None)
+    try:
+        yield
+    finally:
+        _CURRENT.reset(token)

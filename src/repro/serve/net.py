@@ -23,7 +23,10 @@ an HTTP request or header line, the HTTP header block and the HTTP body.
 A longer frame, or an HTTP ``Content-Length`` that is not a non-negative
 integer, is answered with a structured 413 (or 400) after the replies the
 connection already owes, and the connection closes: the stream cannot be
-resynchronised past it.
+resynchronised past it.  The close lingers: the server half-closes, then
+discards what the client still sends until its EOF or
+:data:`LINGER_SECONDS`, so the client reads its reply and a clean EOF
+rather than a reset.
 
 Multi-tenancy is enforced *between* the socket and the service:
 
@@ -72,11 +75,18 @@ from .protocol import error_reply, outcome_reply, parse_request
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .service import DiffusionService
 
-__all__ = ["DiffusionServer", "ServerStats", "MAX_FRAME"]
+__all__ = ["DiffusionServer", "ServerStats", "MAX_FRAME", "LINGER_SECONDS"]
 
 #: Largest request frame the server reads, in bytes: asyncio's default
 #: ``StreamReader`` limit, which every connection's reader is built with.
 MAX_FRAME = 64 * 1024
+
+#: Longest a connection lingers after a frame rejection, in seconds.
+#: Closing a socket with input unread makes the kernel send a reset,
+#: which can destroy the 413/400 reply before the client reads it; so the
+#: server half-closes and discards input until the client's EOF, closing
+#: at this deadline a client that keeps sending.
+LINGER_SECONDS = 2.0
 
 #: request-line verbs that flip a fresh connection into HTTP mode.
 _HTTP_VERBS = frozenset(
@@ -109,6 +119,22 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
         return await reader.readline()
     except ValueError:
         raise _too_large("a line") from None
+
+
+async def _linger(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    """After a flushed rejection: half-close, then discard input until the
+    client's EOF or :data:`LINGER_SECONDS`, so the close sends no reset."""
+
+    async def discard() -> None:
+        while await reader.read(MAX_FRAME):
+            pass
+
+    try:
+        if writer.can_write_eof():
+            writer.write_eof()
+        await asyncio.wait_for(discard(), LINGER_SECONDS)
+    except (asyncio.TimeoutError, OSError, RuntimeError):
+        pass  # the deadline, or a client already gone
 
 
 async def _read_http_request(
@@ -656,6 +682,8 @@ class DiffusionServer:
                 # EOF path: flush what this client is owed, then stop.
                 await client.writer_task
                 client.writer_task = None
+        if isinstance(frame, RequestError) and client.writer_task is None:
+            await _linger(reader, writer)  # the rejection is flushed
 
     async def _reply_writer(
         self,
@@ -697,6 +725,7 @@ class DiffusionServer:
                 # A request the stream cannot continue past: answer, close.
                 reply = await self._ingest(client, error)
                 await self._write_http(writer, reply, close=True)
+                await _linger(reader, writer)
                 return
             line = None
             if verb != "POST":

@@ -61,3 +61,32 @@ def planted():
 def planted_community():
     """Ground-truth community of vertex 0 in the ``planted`` fixture."""
     return np.arange(100, dtype=np.int64)
+
+
+@pytest.fixture
+def pools_opened(monkeypatch):
+    """Every process pool (``PoolSession``) constructed during the test."""
+    from repro.engine.executor import PoolSession
+
+    opened = []
+    init = PoolSession.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        opened.append(self)
+
+    monkeypatch.setattr(PoolSession, "__init__", spy)
+    return opened
+
+
+@pytest.fixture
+def forced_pool(monkeypatch, pools_opened):
+    """One-shot process-backend batches open a real pool: the break-even
+    is patched to 0.0, so a batch of two or more jobs runs its first job
+    in-process and pools every job after it.  Asserts at teardown that a
+    pool opened, so a test of the pool cannot pass in-process."""
+    from repro.engine import scheduler
+
+    monkeypatch.setattr(scheduler, "POOL_BREAK_EVEN_SECONDS", 0.0)
+    yield pools_opened
+    assert pools_opened, "the test's batches never opened a process pool"

@@ -139,19 +139,42 @@ class TestBatchCommand:
         assert len(lines) == 5  # header + 2 seeds x 2 alphas
         assert "alpha=0.1;eps=0.0001" in lines[1]
 
-    def test_batch_workers_match_serial(self, tmp_path):
+    def test_batch_workers_match_serial(self, tmp_path, capsys, forced_pool):
         path = tmp_path / "fig1.npz"
         save_npz(paper_figure1_graph(), path)
         serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
         common = ["--seed", "0", "--seed", "5", "--param", "eps=1e-4"]
         assert main(["batch", str(path), str(serial), *common]) == 0
+        assert "on CSRGraph(n=8, m=8) in-process" in capsys.readouterr().out
         assert main(["batch", str(path), str(pooled), *common, "--workers", "2"]) == 0
+        assert "via 2 worker(s)" in capsys.readouterr().out
 
         def stable(text: str) -> list[list[str]]:
             # Drop the per-job seconds column — the only non-deterministic field.
             return [line.split(",")[:-1] for line in text.splitlines()]
 
         assert stable(serial.read_text()) == stable(pooled.read_text())
+
+    def test_batch_too_short_for_a_pool_runs_in_process(
+        self, tmp_path, capsys, pools_opened
+    ):
+        path = tmp_path / "fig1.npz"
+        save_npz(paper_figure1_graph(), path)
+        out = tmp_path / "batch.csv"
+        args = ["batch", str(path), str(out), "--seed", "0", "--seed", "5",
+                "--param", "eps=1e-4", "--workers", "2", "--stats"]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        assert pools_opened == []
+        assert "batch: 2 jobs" in printed and "in-process" in printed
+        assert "via 2 worker(s)" not in printed
+        assert "no pool dispatch (the batch ran in-process: too short to repay a pool)" in printed
+        # A warm cache leaves nothing to dispatch at all.
+        cache_dir = str(tmp_path / "cache")
+        assert main([*args, "--cache-dir", cache_dir]) == 0
+        capsys.readouterr()
+        assert main([*args, "--cache-dir", cache_dir]) == 0
+        assert "in-process: every job was a cache hit" in capsys.readouterr().out
 
     def test_batch_bad_grid_rejected(self, tmp_path):
         path = tmp_path / "fig1.npz"
@@ -213,7 +236,7 @@ class TestShardFlags:
 
 
 class TestNcpWorkers:
-    def test_ncp_workers_identical_csv(self, tmp_path, monkeypatch):
+    def test_ncp_workers_identical_csv(self, tmp_path, monkeypatch, forced_pool):
         monkeypatch.setenv("REPRO_SCALE", "0.1")
         serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
         common = ["randLocal", "--seeds", "3", "--alpha", "0.05", "--eps", "1e-4"]

@@ -150,7 +150,7 @@ class TestEngineDeterminism:
         assert np.array_equal(profile.conductance, expected)
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_worker_count_does_not_change_results(self, graph, workers):
+    def test_worker_count_does_not_change_results(self, graph, workers, forced_pool):
         seeds = np.asarray([0, 150, 300, 450, 599])
         serial = ncp_profile(graph, seeds=seeds, alphas=self.ALPHAS, eps_values=self.EPS)
         pooled = ncp_profile(
@@ -173,7 +173,7 @@ class TestEngineDeterminism:
         assert profile.runs == expected_runs
         assert np.array_equal(profile.conductance, expected)
 
-    def test_process_backend_preserves_job_order(self, graph):
+    def test_process_backend_preserves_job_order(self, graph, forced_pool):
         jobs = [DiffusionJob.make(s, params={"alpha": 0.05, "eps": 1e-4}) for s in range(8)]
         engine = BatchEngine(graph, backend="process", workers=2)
         outcomes = engine.run(jobs)
@@ -191,7 +191,7 @@ class TestClusterMany:
             assert result.conductance == reference.conductance
             assert result.algorithm == "pr-nibble"
 
-    def test_workers_equivalent(self, graph):
+    def test_workers_equivalent(self, graph, forced_pool):
         seeds = [0, 100, 200, 300]
         serial = cluster_many(graph, seeds, alpha=0.05, eps=1e-4)
         pooled = cluster_many(graph, seeds, alpha=0.05, eps=1e-4, workers=2)
@@ -199,7 +199,7 @@ class TestClusterMany:
             assert np.array_equal(a.cluster, b.cluster)
             assert a.conductance == b.conductance
 
-    def test_randomized_method_backend_invariant(self, graph):
+    def test_randomized_method_backend_invariant(self, graph, forced_pool):
         serial = cluster_many(graph, [0, 50], method="rand-hk-pr", rng=3, num_walks=500)
         pooled = cluster_many(
             graph, [0, 50], method="rand-hk-pr", rng=3, num_walks=500, workers=2
@@ -283,7 +283,7 @@ class TestNonForkStartMethods:
             pytest.skip("spawn start method unavailable on this platform")
         return ProcessPoolBackend(start_method="spawn", workers=2)
 
-    def test_no_warning_and_matches_serial(self, graph, spawn_backend):
+    def test_no_warning_and_matches_serial(self, graph, spawn_backend, forced_pool):
         import warnings as warnings_module
 
         jobs = self.JOBS((0, 100, 200))
@@ -312,7 +312,9 @@ class TestNonForkStartMethods:
         assert "engine" in tracker.by_category
         assert tracker.work == pytest.approx(sum(o.work for o in outcomes))
 
-    def test_spawn_leaves_no_shared_memory_segments(self, graph, spawn_backend):
+    def test_spawn_leaves_no_shared_memory_segments(
+        self, graph, spawn_backend, forced_pool
+    ):
         from repro.graph.shared import SEGMENT_PREFIX
 
         shm_dir = "/dev/shm"
@@ -322,7 +324,7 @@ class TestNonForkStartMethods:
         leaked = [f for f in os.listdir(shm_dir) if f.startswith(SEGMENT_PREFIX)]
         assert leaked == []
 
-    def test_abandoned_stream_unlinks_segments(self, graph, spawn_backend):
+    def test_abandoned_stream_unlinks_segments(self, graph, spawn_backend, forced_pool):
         from repro.graph.shared import SEGMENT_PREFIX
 
         shm_dir = "/dev/shm"
@@ -337,7 +339,7 @@ class TestNonForkStartMethods:
     def test_empty_batch(self, graph, spawn_backend):
         assert BatchEngine(graph, backend=spawn_backend).run([]) == []
 
-    def test_forkserver_matches_serial(self, graph):
+    def test_forkserver_matches_serial(self, graph, forced_pool):
         if "forkserver" not in multiprocessing.get_all_start_methods():  # pragma: no cover
             pytest.skip("forkserver start method unavailable on this platform")
         jobs = self.JOBS((0, 100))
@@ -436,7 +438,7 @@ class TestExecutionSessions:
         assert shared.unlinked
         assert [f for f in os.listdir(shm_dir) if f.startswith(SEGMENT_PREFIX)] == []
 
-    def test_abandoned_map_iterator_shuts_pool_down_on_close(self, graph):
+    def test_abandoned_map_iterator_shuts_pool_down_on_close(self, graph, forced_pool):
         """Closing an abandoned ``BatchEngine.map`` iterator must terminate
         and join the pool's worker processes, not leave them to GC."""
         before = {p.pid for p in multiprocessing.active_children()}
@@ -449,6 +451,126 @@ class TestExecutionSessions:
         assert started, "expected live pool workers after first outcome"
         stream.close()  # abandoning the iterator must tear the pool down
         assert all(not p.is_alive() for p in started)
+
+
+class TestOneShotPoolSelection:
+    """A one-shot process-backend batch runs its jobs in-process, in job
+    order, and opens a pool for the jobs left only once they project past
+    the break-even; either way the outcomes are the serial ones, in job
+    order."""
+
+    JOBS = staticmethod(
+        lambda: [
+            DiffusionJob.make(seed, params={"alpha": 0.05, "eps": eps})
+            for seed, eps in ((0, 1e-4), (100, 1e-4), (200, 1e-5), (300, 1e-4), (400, 1e-4))
+        ]
+    )
+
+    @staticmethod
+    def assert_serial(outcomes, jobs, graph):
+        reference = BatchEngine(graph).run(jobs)
+        assert [o.index for o in outcomes] == list(range(len(jobs)))
+        for want, got in zip(reference, outcomes):
+            assert got.index == want.index
+            assert got.job.seeds == want.job.seeds
+            assert np.array_equal(got.cluster, want.cluster)
+            assert got.conductance == want.conductance
+            assert got.pushes == want.pushes
+            assert got.work == want.work and got.depth == want.depth
+            assert np.array_equal(got.vector_keys, want.vector_keys)
+            assert np.array_equal(got.vector_values, want.vector_values)
+
+    def test_short_batch_opens_no_pool(self, graph, pools_opened):
+        jobs = self.JOBS()
+        engine = BatchEngine(graph, backend=ProcessPoolBackend(workers=2))
+        outcomes = engine.run(jobs)
+        assert pools_opened == []
+        assert engine.dispatch_stats.batches == 0
+        self.assert_serial(outcomes, jobs, graph)
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_batch_past_break_even_pools_all_but_the_first_job(
+        self, graph, monkeypatch, forced_pool, start_method
+    ):
+        from repro.engine import executor
+        from repro.graph.shared import SEGMENT_PREFIX
+
+        if start_method not in multiprocessing.get_all_start_methods():  # pragma: no cover
+            pytest.skip(f"{start_method} start method unavailable on this platform")
+        in_process = []
+        run = executor.run_job
+
+        def spy(graph, job, *args, **kwargs):
+            in_process.append(job)
+            return run(graph, job, *args, **kwargs)
+
+        # Forked workers append to their own copy of the list and spawned
+        # ones run unpatched: the parent's list holds the in-process jobs.
+        monkeypatch.setattr(executor, "run_job", spy)
+        jobs = self.JOBS()
+        engine = BatchEngine(
+            graph, backend=ProcessPoolBackend(workers=2, start_method=start_method)
+        )
+        with track() as tracker:
+            outcomes = engine.run(jobs)
+        assert in_process == jobs[:1]
+        assert len(forced_pool) == 1
+        dispatch = engine.dispatch_stats
+        assert dispatch.batches == 1 and dispatch.jobs == len(jobs) - 1
+        self.assert_serial(outcomes, jobs, graph)
+        # The tracker contract holds with a job run in-process: one
+        # aggregate record, no per-job categories.
+        assert set(tracker.by_category) == {"engine"}
+        assert tracker.work == pytest.approx(sum(o.work for o in outcomes))
+        assert tracker.depth == pytest.approx(max(o.depth for o in outcomes))
+        if os.path.isdir("/dev/shm"):
+            assert [f for f in os.listdir("/dev/shm") if f.startswith(SEGMENT_PREFIX)] == []
+
+    def test_one_job_batch_opens_no_pool(self, graph, monkeypatch, pools_opened):
+        from repro.engine import scheduler
+
+        monkeypatch.setattr(scheduler, "POOL_BREAK_EVEN_SECONDS", 0.0)
+        jobs = self.JOBS()[:1]
+        engine = BatchEngine(graph, backend=ProcessPoolBackend(workers=2))
+        outcomes = engine.run(jobs)
+        assert pools_opened == []
+        assert engine.dispatch_stats.batches == 0
+        self.assert_serial(outcomes, jobs, graph)
+
+    def test_projection_is_rechecked_as_jobs_finish(self, graph, monkeypatch, pools_opened):
+        """An isolated first seed finishes at once and projects the batch to
+        nothing; the pool opens as soon as a real job's time is measured."""
+        from dataclasses import replace
+
+        from repro.engine import executor, scheduler
+
+        # The graph plus one isolated vertex, the first job's seed.
+        isolated = graph.num_vertices
+        with_isolated = CSRGraph(np.append(graph.offsets, graph.offsets[-1]), graph.neighbors)
+        jobs = [
+            DiffusionJob.make(seed, params={"alpha": 0.05, "eps": 1e-4})
+            for seed in (isolated, 0, 100, 200, 300, 400)
+        ]
+        # A fixed clock: every job but the isolated seed's takes 0.1 s.
+        # After the first job nothing is projected; after the second,
+        # 0.1 s over two jobs projects the four left to 0.2 s, past the
+        # patched break-even.
+        in_process = []
+        run = executor.run_job
+
+        def timed(graph, job, *args, **kwargs):
+            in_process.append(job)
+            outcome = run(graph, job, *args, **kwargs)
+            return replace(outcome, wall_seconds=0.0 if isolated in job.seeds else 0.1)
+
+        monkeypatch.setattr(executor, "run_job", timed)
+        monkeypatch.setattr(scheduler, "POOL_BREAK_EVEN_SECONDS", 0.15)
+        engine = BatchEngine(with_isolated, backend=ProcessPoolBackend(workers=2))
+        outcomes = engine.run(jobs)
+        assert in_process == jobs[:2]
+        assert len(pools_opened) == 1
+        assert engine.dispatch_stats.jobs == len(jobs) - 2
+        self.assert_serial(outcomes, jobs, with_isolated)
 
 
 class TestSharedCodePaths:

@@ -100,8 +100,10 @@ class TestMatrix:
     @pytest.mark.parametrize("kernel", KERNEL_VALUES)
     @pytest.mark.parametrize("backend,schedule", CELLS)
     def test_cell_equals_serial_python_reference(
-        self, graph, jobs, reference, kernel, backend, schedule
+        self, graph, jobs, reference, kernel, backend, schedule, request
     ):
+        if backend == "process":
+            request.getfixturevalue("forced_pool")  # a real pool, not in-process
         engine = make_engine(graph, backend, schedule, kernel)
         assert_outcomes_identical(engine.run(jobs), reference)
 

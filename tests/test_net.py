@@ -496,6 +496,54 @@ class TestFrameLimit:
         assert rest == b""
         assert stats.requests == 4 and stats.rejected == 1
 
+    def test_megabyte_line_gets_its_reply_then_a_clean_eof(self, graph):
+        # Closing with the rest of this line unread would reset the
+        # connection; the lingering close ends it with EOF instead.
+        huge = {"id": "huge", "seeds": list(range(200000))}  # ~1.3 MB
+
+        async def exchange(server):
+            reader, writer = await connect(server)
+            await send(writer, huge)
+            reply = await recv(reader)
+            rest = await reader.read()  # a reset raises here
+            writer.close()
+            return reply, rest
+
+        (reply, rest), stats = self.run(graph, exchange)
+        assert reply["id"] == 1
+        assert reply["error"]["code"] == 413
+        assert rest == b""
+        assert stats.requests == 2 and stats.rejected == 1
+
+    def test_client_that_keeps_sending_is_closed_at_the_deadline(
+        self, graph, monkeypatch
+    ):
+        from repro.serve import net
+
+        monkeypatch.setattr(net, "LINGER_SECONDS", 1.0)
+
+        async def exchange(server):
+            reader, writer = await connect(server)
+            await send(writer, self.OVERSIZED)
+            reply = await recv(reader)
+            eof = await reader.read()  # half-closed: the reply is all
+            sent = 0
+            try:
+                while True:  # until the server closes at the deadline
+                    writer.write(b"x" * 65536)
+                    await writer.drain()
+                    sent += 65536
+            except ConnectionError:
+                pass
+            writer.close()
+            return reply, eof, sent
+
+        (reply, eof, sent), stats = self.run(graph, exchange)
+        assert reply["error"]["code"] == 413
+        assert eof == b""
+        assert sent > 0
+        assert stats.rejected == 1
+
     @pytest.mark.parametrize(
         "head, code",
         [

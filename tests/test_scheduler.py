@@ -203,7 +203,7 @@ class TestEngineIntegration:
     execution.  (The heavier serial-vs-pool equivalence lives in
     test_engine.py; this asserts the schedules against each other.)"""
 
-    def test_cost_and_fifo_schedules_bit_identical(self):
+    def test_cost_and_fifo_schedules_bit_identical(self, forced_pool):
         from repro.engine import BatchEngine
         from repro.graph import planted_partition
 
@@ -215,6 +215,7 @@ class TestEngineIntegration:
         ]
         cost = BatchEngine(graph, backend="process", workers=3, schedule="cost").run(jobs)
         fifo = BatchEngine(graph, backend="process", workers=3, schedule="fifo").run(jobs)
+        assert len(forced_pool) == 2  # each schedule ran through a real pool
         serial = BatchEngine(graph).run(jobs)
         for a, b, c in zip(cost, fifo, serial):
             assert a.index == b.index == c.index

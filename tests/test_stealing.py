@@ -228,7 +228,13 @@ class TestDispatchStats:
             GRAPH, backend="process", workers=2, include_vectors=False
         )
         jobs = [pr_job(seed=s, eps=eps) for s in range(10) for eps in (1e-3, 1e-5)]
-        stats = engine.run(jobs, StatsReducer(engine=engine))
+        # A session always pools; a one-shot run of a batch this short
+        # would stay in-process.
+        reducer = StatsReducer(engine=engine)
+        with engine.open_session() as session:
+            for outcome in session.run(jobs):
+                reducer.update(outcome)
+        stats = reducer.finalize()
         dispatch = engine.dispatch_stats
         assert dispatch.batches == 1
         assert dispatch.jobs == len(jobs)
