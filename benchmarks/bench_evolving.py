@@ -27,15 +27,31 @@ new version, and the sum of migration counters balances.  Set
 but skip the speedup/survival floors — on the ~50x-shrunk smoke proxies
 the hot neighborhood is a large fraction of the graph and the cold runs
 are too short to time stably, so the full-scale floors do not transfer.
-Results: ``results/bench_evolving.csv`` + ``BENCH_evolving.json``.
+
+A second leg times the update path itself on the soc-LJ proxy, in the
+batch shape of the end-to-end ``evolving`` workload (50 edges inserted
+inside one random vertex's 2-hop neighbourhood plus up to 20 deletions
+of earlier insertions, with ten cached PR-Nibble reads per version).
+Over 100 updates it reports the p50 of ``apply_updates`` (which includes
+the new version's block fingerprint), of that incremental fingerprint
+alone, of a from-scratch fingerprint for reference, and of
+``advance_version``, plus the number of version CSRs still alive.  At
+every scale, smoke included, at most three may be alive (the root, the
+latest version and its parent), so a retention regression fails CI.
+
+Results: ``results/bench_evolving.csv`` (churn leg),
+``results/bench_evolving_updates.csv`` (update leg) and
+``BENCH_evolving.json`` (both).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pathlib
 import time
+import weakref
 
 import numpy as np
 
@@ -46,7 +62,7 @@ from repro.core.pr_nibble import pr_nibble_sequential
 from repro.core.result import vector_items
 from repro.core.seeding import random_seeds
 from repro.engine import BatchEngine, DiffusionJob
-from repro.graph import EvolvingGraph
+from repro.graph import CSRGraph, EvolvingGraph
 
 GRAPH = "Twitter"
 NUM_SEEDS = 24
@@ -57,6 +73,25 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 SPEEDUP_FLOOR = 5.0
 SURVIVAL_FLOOR = 0.5
+
+UPDATE_GRAPH = "soc-LJ"
+UPDATES = 100
+INSERTS_PER_UPDATE = 50
+DELETES_PER_UPDATE = 20
+READS_PER_UPDATE = 10
+READ_PARAMS = {"alpha": 0.05, "eps": 1e-4}
+MAX_LIVE_CSRS = 3  # the root, the latest version and its parent
+SUMMARY = pathlib.Path("BENCH_evolving.json")
+
+
+def merge_summary(fields):
+    """Update ``BENCH_evolving.json`` with ``fields``, keeping the other leg's."""
+    try:
+        summary = json.loads(SUMMARY.read_text())
+    except (OSError, ValueError):
+        summary = {}
+    summary.update(fields)
+    SUMMARY.write_text(json.dumps(summary, indent=2))
 
 
 def hot_ball(graph, need_deletions, need_insertions):
@@ -267,7 +302,7 @@ def test_evolving_churn(benchmark, graphs):
         "replay_hits": replay_hits,
         "untouched_solutions": untouched,
     }
-    pathlib.Path("BENCH_evolving.json").write_text(json.dumps(summary, indent=2))
+    merge_summary(summary)
     print(json.dumps(summary, indent=2))
 
     # Correctness, at every scale.  The migration counters must balance;
@@ -297,3 +332,155 @@ def test_evolving_churn(benchmark, graphs):
     if not SMOKE:
         assert speedup >= SPEEDUP_FLOOR, f"incremental speedup {speedup:.1f}x < 5x"
         assert survival >= SURVIVAL_FLOOR, f"cache survival {survival:.2f} < 0.5"
+
+
+def two_hop(graph, center):
+    first = graph.neighbors_of(center)
+    pieces = [np.asarray([center]), first]
+    pieces.extend(graph.neighbors_of(int(v)) for v in first.tolist())
+    return np.unique(np.concatenate(pieces))
+
+
+def update_batches(graph, rng, count):
+    """``count`` (insertions, deletions) batches: INSERTS_PER_UPDATE new
+    edges inside one random vertex's 2-hop neighbourhood (in the root
+    graph), and up to DELETES_PER_UPDATE edges earlier batches inserted.
+    Every change is effective, so every batch makes a new version."""
+    n = graph.num_vertices
+    alive = []  # encoded u * n + v, inserted and not yet deleted
+    batches = []
+    while len(batches) < count:
+        hood = two_hop(graph, int(rng.integers(n)))
+        if len(hood) < 16:
+            continue
+        pairs = hood[rng.integers(0, len(hood), size=(8 * INSERTS_PER_UPDATE, 2))]
+        codes = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+        taken = set(alive)
+        fresh = [
+            code
+            for code in rng.permutation(codes).tolist()
+            if code // n != code % n
+            and code not in taken
+            and not graph.has_edge(code // n, code % n)
+        ][:INSERTS_PER_UPDATE]
+        if len(fresh) < INSERTS_PER_UPDATE:
+            continue
+        picks = set(rng.choice(len(alive), min(DELETES_PER_UPDATE, len(alive)), replace=False).tolist())
+        deletions = [code for i, code in enumerate(alive) if i in picks]
+        alive = [code for i, code in enumerate(alive) if i not in picks] + fresh
+        batches.append(
+            (
+                [(code // n, code % n) for code in fresh],
+                [(code // n, code % n) for code in deletions],
+            )
+        )
+    return batches
+
+
+def _run_updates(graph):
+    rng = np.random.default_rng(21)
+    batches = update_batches(graph, rng, UPDATES)
+    degrees = graph.degrees()
+    readable = np.flatnonzero(degrees > 0)
+    popular = rng.choice(readable, min(64, len(readable)), replace=False)
+    chain = EvolvingGraph(graph)
+    cache = ResultCache()
+    live = [weakref.ref(graph)]
+    apply_s, fingerprint_s, scratch_s, migrate_s, migrations, most_live = [], [], [], [], [], 0
+
+    def read(version):
+        seeds = rng.choice(popular, READS_PER_UPDATE)
+        BatchEngine(chain, cache=cache, graph_version=version).run(
+            [DiffusionJob.make(int(seed), params=READ_PARAMS) for seed in seeds]
+        )
+
+    read(0)
+    for number, (insertions, deletions) in enumerate(batches, start=1):
+        parent = chain.latest
+        start = time.perf_counter()
+        version = chain.apply_updates(insertions=insertions, deletions=deletions)
+        apply_s.append(time.perf_counter() - start)
+        migrated = advance_version(cache, version)
+        migrate_s.append(time.perf_counter() - start - apply_s[-1])
+        migrations.append(migrated)
+
+        # The fingerprint apply_updates paid, timed alone on a copy, and
+        # the from-scratch hash it replaces.
+        arrays = version.graph
+        copy = CSRGraph(arrays.offsets, arrays.neighbors)
+        start = time.perf_counter()
+        incremental = copy.inherit_fingerprint(parent.graph, version.touched)
+        fingerprint_s.append(time.perf_counter() - start)
+        copy = CSRGraph(arrays.offsets, arrays.neighbors)
+        start = time.perf_counter()
+        scratch = copy.fingerprint()
+        scratch_s.append(time.perf_counter() - start)
+        assert incremental == scratch == version.fingerprint()
+
+        live.append(weakref.ref(arrays))
+        del parent, version, arrays, copy
+        read(number)
+        if number % 10 == 0 or number == len(batches):
+            gc.collect()
+            most_live = max(most_live, sum(ref() is not None for ref in live))
+    return {
+        "chain": chain,
+        "apply_s": apply_s,
+        "fingerprint_s": fingerprint_s,
+        "scratch_s": scratch_s,
+        "migrate_s": migrate_s,
+        "migrations": migrations,
+        "live_csrs": most_live,
+    }
+
+
+def test_evolving_updates(benchmark, graphs):
+    graph = graphs[UPDATE_GRAPH]
+    run = benchmark.pedantic(lambda: _run_updates(graph), rounds=1, iterations=1)
+
+    def p50_ms(seconds):
+        return float(np.median(seconds)) * 1e3
+
+    apply_ms = p50_ms(run["apply_s"])
+    migrate_ms = p50_ms(run["migrate_s"])
+    update_ms = p50_ms(np.add(run["apply_s"], run["migrate_s"]))
+    fingerprint_ms = p50_ms(run["fingerprint_s"])
+    scratch_ms = p50_ms(run["scratch_s"])
+    migrations = run["migrations"]
+    examined = sum(m.examined for m in migrations)
+    survived = sum(m.survived for m in migrations)
+    survival = survived / examined if examined else 0.0
+    rows = [
+        ["graph", f"{UPDATE_GRAPH} proxy ({graph.num_vertices} vertices)"],
+        ["updates", f"{UPDATES} x (+{INSERTS_PER_UPDATE}/-{DELETES_PER_UPDATE} edges)"],
+        ["apply p50 (incl. fingerprint)", f"{apply_ms:.2f} ms"],
+        ["incremental fingerprint p50", f"{fingerprint_ms:.2f} ms"],
+        ["from-scratch fingerprint p50", f"{scratch_ms:.2f} ms"],
+        ["migrate p50", f"{migrate_ms:.2f} ms"],
+        ["update p50 (apply + migrate)", f"{update_ms:.2f} ms"],
+        ["entries examined per update", f"{examined / len(migrations):.1f}"],
+        ["survival rate", f"{survival:.2f}"],
+        ["most version CSRs alive", run["live_csrs"]],
+    ]
+    print()
+    print(format_table(["measure", "value"], rows, title="Evolving plane: update path"))
+    headers = [
+        "graph", "updates", "apply_ms_p50", "fingerprint_ms_p50",
+        "scratch_fingerprint_ms_p50", "migrate_ms_p50", "update_ms_p50",
+        "examined_per_update", "survival_rate", "live_csrs",
+    ]
+    values = [
+        UPDATE_GRAPH, UPDATES, apply_ms, fingerprint_ms, scratch_ms, migrate_ms,
+        update_ms, examined / len(migrations), survival, run["live_csrs"],
+    ]
+    write_csv("bench_evolving_updates", headers, [values])
+    merge_summary({"update_leg": dict(zip(headers, values))})
+
+    # At every scale: the counters balance, every update made a version,
+    # and no more than three version CSRs were ever alive at a check.
+    assert len(run["chain"]) == UPDATES + 1
+    for stats in migrations:
+        assert stats.examined == stats.survived + stats.invalidated + stats.skipped
+    assert run["live_csrs"] <= MAX_LIVE_CSRS, (
+        f"{run['live_csrs']} version CSRs alive; expected at most {MAX_LIVE_CSRS}"
+    )

@@ -13,7 +13,11 @@ shard router) behind the same session protocol the
    query diffuses at most once, and
 4. sends only the remaining misses to the wrapped backend — as one
    sub-batch, so a process pool still amortises its start-up over all of
-   them — storing each outcome as it streams back.
+   them — storing each outcome as it streams back.  A one-shot batch
+   (``BatchEngine.run``/``map``) sends them down the wrapped backend's
+   own one-shot path, which runs a sub-batch too short to repay a pool
+   in-process; a session (the serving plane, ``open_session()``) keeps
+   one inner session, and so one pool, across its batches.
 
 Outcomes are yielded strictly in job order, with the requesting job (tag
 included) and its batch index re-attached, so every reducer observes the
@@ -26,7 +30,7 @@ work-depth cost, because a hit performs no diffusion work.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator, Sequence
 
 from ..engine.executor import ExecutionSession, PoolBackend
 from .keys import CacheKey, cache_key_for
@@ -106,7 +110,12 @@ class CachingSession(ExecutionSession):
     batches (one pool + one graph export), opened with the first miss —
     so an all-hit batch never starts a pool.  This is what lets the
     serving plane answer hot interactive queries without touching the
-    pool at all.  ``batches`` counts the batches that had misses."""
+    pool at all.  ``batches`` counts the batches that had misses.
+
+    A ``one_shot`` session (what :meth:`PoolBackend.stream` opens for one
+    cached batch) opens no inner session: its misses take the inner
+    backend's own one-shot stream, so a short miss list runs in-process
+    exactly as the same batch uncached would."""
 
     def __init__(
         self,
@@ -114,10 +123,13 @@ class CachingSession(ExecutionSession):
         graph: "CSRGraph",
         parallel: bool,
         include_vectors: bool,
+        one_shot: bool = False,
     ) -> None:
         super().__init__(backend, graph, parallel, include_vectors)
         self.cache = backend.cache
+        self.one_shot = one_shot
         self.inner: ExecutionSession | None = None
+        self._inner_stream: "Generator[JobOutcome, None, None] | None" = None
 
     def _dispatch(self, jobs: Sequence["DiffusionJob"]) -> Iterator["JobOutcome"]:
         # Misses take the base _dispatch (counted in ``batches``), whose
@@ -132,8 +144,13 @@ class CachingSession(ExecutionSession):
         )
 
     def _run(self, jobs: Sequence["DiffusionJob"]) -> Iterator["JobOutcome"]:
+        backend: CachingBackend = self.backend  # type: ignore[assignment]
+        if self.one_shot:
+            self._inner_stream = backend.inner.stream(  # type: ignore[assignment]
+                self.graph, jobs, self.parallel, self.include_vectors
+            )
+            return self._inner_stream
         if self.inner is None:
-            backend: CachingBackend = self.backend  # type: ignore[assignment]
             self.inner = backend.inner.open_session(
                 self.graph, self.parallel, self.include_vectors
             )
@@ -143,6 +160,8 @@ class CachingSession(ExecutionSession):
         super().close()
         if self.inner is not None:
             self.inner.close()
+        if self._inner_stream is not None:
+            self._inner_stream.close()  # tears down a pool it opened
 
 
 class CachingBackend(PoolBackend):
@@ -168,3 +187,8 @@ class CachingBackend(PoolBackend):
     ) -> CachingSession:
         """A session whose misses share one inner (pool) session."""
         return CachingSession(self, graph, parallel, include_vectors)
+
+    def _one_shot_session(
+        self, graph: "CSRGraph", parallel: bool, include_vectors: bool
+    ) -> CachingSession:
+        return CachingSession(self, graph, parallel, include_vectors, one_shot=True)

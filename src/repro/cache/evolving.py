@@ -30,12 +30,12 @@ Two deliberate exclusions keep the rule sound:
 
 >>> from repro.cache import ResultCache, advance_version
 >>> from repro.engine import BatchEngine, DiffusionJob
->>> from repro.graph import EvolvingGraph, barbell_graph
->>> chain = EvolvingGraph(barbell_graph(6))
+>>> from repro.graph import EvolvingGraph, cycle_graph
+>>> chain = EvolvingGraph(cycle_graph(200))
 >>> cache = ResultCache()
 >>> engine = BatchEngine(chain.at(0).graph, cache=cache)
->>> _ = engine.run([DiffusionJob.make(0)])
->>> v1 = chain.apply_updates(insertions=[(8, 10)])  # far from vertex 0's cluster
+>>> _ = engine.run([DiffusionJob.make(0, params={"eps": 1e-3})])
+>>> v1 = chain.apply_updates(insertions=[(100, 103)])  # far from vertex 0's cluster
 >>> advance_version(cache, v1).survived
 1
 """
@@ -120,29 +120,32 @@ def _sweep_volume_safe(outcome, old_total: int, new_total: int) -> bool:
 def advance_version(cache: ResultCache, version: GraphVersion) -> MigrationStats:
     """Carry the parent version's unaffected cache entries to ``version``.
 
-    Scans the in-memory layer for entries keyed by the parent fingerprint
-    and re-keys every entry whose recorded profile avoids the delta region
-    (see module docstring).  Old-fingerprint entries are retained — they
-    remain the correct answers for queries pinned to the old version —
-    and the write-through ``put`` persists survivors to disk under the
-    new fingerprint as well.
+    Visits the in-memory layer's entries keyed by the parent fingerprint
+    (the store indexes keys by fingerprint, so other versions' entries
+    cost nothing) and re-keys every entry whose recorded profile avoids
+    the delta region (see module docstring).  Old-fingerprint entries are
+    retained — they remain the correct answers for queries pinned to the
+    old version — and the write-through ``put`` persists survivors to
+    disk under the new fingerprint as well.
     """
     parent = version.parent
     if parent is None:
         raise ValueError("version has no parent; nothing to migrate from")
-    old_graph = parent.graph
-    new_graph = version.graph
-    old_fingerprint = old_graph.fingerprint()
-    new_fingerprint = new_graph.fingerprint()
+    old_fingerprint = parent.fingerprint()
+    new_fingerprint = version.fingerprint()
     stats = MigrationStats()
     if old_fingerprint == new_fingerprint:
         return stats
-    region = set(delta_region(old_graph, new_graph, version.touched).tolist())
+    entries = cache.memory_items(old_fingerprint)
+    if not entries:
+        return stats
+    old_graph = parent.graph
+    new_graph = version.graph
+    region = np.zeros(new_graph.num_vertices, dtype=bool)
+    region[delta_region(old_graph, new_graph, version.touched)] = True
     old_total = len(old_graph.neighbors)
     new_total = len(new_graph.neighbors)
-    for key, outcome in cache.memory_items():
-        if key.graph != old_fingerprint:
-            continue
+    for key, outcome in entries:
         stats.examined += 1
         if key.method not in MONOTONE_SUPPORT_METHODS:
             stats.skipped += 1
@@ -152,10 +155,11 @@ def advance_version(cache: ResultCache, version: GraphVersion) -> MigrationStats
             # cannot prove it avoided the delta.
             stats.skipped += 1
             continue
-        profile = set(key.seeds)
-        if outcome.vector_keys is not None:
-            profile.update(outcome.vector_keys.tolist())
-        if profile & region or not _sweep_volume_safe(outcome, old_total, new_total):
+        if (
+            region[list(key.seeds)].any()
+            or (outcome.vector_keys is not None and region[outcome.vector_keys].any())
+            or not _sweep_volume_safe(outcome, old_total, new_total)
+        ):
             stats.invalidated += 1
             continue
         cache.put(dataclasses.replace(key, graph=new_fingerprint), outcome)

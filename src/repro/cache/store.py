@@ -9,6 +9,8 @@ heavily.  :class:`ResultCache` memoises the engine's
 * :class:`LRUStore` — the hot layer.  An ordered dict keyed by
   :class:`~repro.cache.keys.CacheKey`, bounded by entry count *and* an
   approximate byte budget; least-recently-used entries are evicted first.
+  A per-fingerprint index lets version migration visit only the entries
+  of one graph.
 * :class:`DiskStore` — the optional persistent layer.  One compressed
   ``.npz`` payload per entry under a cache directory (filename = the
   key's digest), so entries survive the process and are shared between
@@ -84,6 +86,8 @@ class LRUStore:
         self.max_bytes = max_bytes
         self.evictions = 0
         self._entries: "OrderedDict[CacheKey, tuple[JobOutcome, int]]" = OrderedDict()
+        # fingerprint -> that graph's keys, in the same LRU order
+        self._by_graph: "dict[str, OrderedDict[CacheKey, None]]" = {}
         self._nbytes = 0
 
     def __len__(self) -> int:
@@ -99,6 +103,7 @@ class LRUStore:
         if entry is None:
             return None
         self._entries.move_to_end(key)
+        self._by_graph[key.graph].move_to_end(key)
         return entry[0]
 
     def put(self, key: CacheKey, outcome: "JobOutcome") -> None:
@@ -107,26 +112,36 @@ class LRUStore:
         if old is not None:
             self._nbytes -= old[1]
         self._entries[key] = (outcome, size)
+        keys = self._by_graph.setdefault(key.graph, OrderedDict())
+        keys[key] = None
+        keys.move_to_end(key)
         self._nbytes += size
         while len(self._entries) > self.max_entries or (
             self._nbytes > self.max_bytes and len(self._entries) > 1
         ):
-            _, (_, evicted_size) = self._entries.popitem(last=False)
+            evicted, (_, evicted_size) = self._entries.popitem(last=False)
+            keys = self._by_graph[evicted.graph]
+            del keys[evicted]
+            if not keys:
+                del self._by_graph[evicted.graph]
             self._nbytes -= evicted_size
             self.evictions += 1
 
-    def items(self) -> "list[tuple[CacheKey, JobOutcome]]":
-        """Snapshot of the resident entries, oldest first (no LRU touch).
+    def items(self, graph: str) -> "list[tuple[CacheKey, JobOutcome]]":
+        """Snapshot of the entries computed on the graph with fingerprint
+        ``graph``, least recently used first (no LRU touch).
 
         The cross-version migration pass (:func:`repro.cache.evolving.
-        advance_version`) scans this to re-key survivors; a list copy keeps
-        the scan safe against concurrent ``put`` calls re-ordering the dict.
+        advance_version`) re-keys survivors from this; a list copy keeps
+        it safe against ``put`` calls re-ordering the store meanwhile.
         """
-        return [(key, outcome) for key, (outcome, _) in self._entries.items()]
+        keys = self._by_graph.get(graph, ())
+        return [(key, self._entries[key][0]) for key in keys]
 
     def clear(self) -> int:
         removed = len(self._entries)
         self._entries.clear()
+        self._by_graph.clear()
         self._nbytes = 0
         return removed
 
@@ -285,8 +300,9 @@ class ResultCache:
         """Record one job served by an identical in-flight job (same batch)."""
         self._coalesced += 1
 
-    def memory_items(self) -> "list[tuple[CacheKey, JobOutcome]]":
-        """Snapshot of the in-memory layer's entries (for version migration).
+    def memory_items(self, graph: str) -> "list[tuple[CacheKey, JobOutcome]]":
+        """The in-memory layer's entries for fingerprint ``graph`` (for
+        version migration; see :meth:`LRUStore.items`).
 
         Disk entries are keyed by one-way digests, so they cannot be
         enumerated back into :class:`~repro.cache.keys.CacheKey`\\ s; the
@@ -295,7 +311,7 @@ class ResultCache:
         version they were computed on, so they can never serve a different
         version's query — they just aren't carried forward.
         """
-        return self.memory.items()
+        return self.memory.items(graph)
 
     def clear(self) -> int:
         removed = self.memory.clear()

@@ -617,6 +617,15 @@ class PoolBackend:
         """
         return None
 
+    def _one_shot_session(
+        self, graph: CSRGraph, parallel: bool, include_vectors: bool
+    ) -> ExecutionSession:
+        """The session :meth:`stream` opens for a batch without a gate:
+        :meth:`open_session`, except where a wrapper serves one batch
+        differently (the caching backend sends its misses down the inner
+        backend's one-shot path)."""
+        return self.open_session(graph, parallel, include_vectors)
+
     def stream(
         self,
         graph: CSRGraph,
@@ -643,7 +652,7 @@ class PoolBackend:
         gate = self._one_shot_gate(jobs)
         session = None
         if gate is None:
-            session = self.open_session(graph, parallel, include_vectors)
+            session = self._one_shot_session(graph, parallel, include_vectors)
         done = 0
         try:
             if gate is not None:

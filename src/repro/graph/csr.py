@@ -25,7 +25,12 @@ from ..runtime import log2ceil, record
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .shared import SharedCSR, SharedCSRHandle
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "FINGERPRINT_BLOCK"]
+
+#: Vertices per fingerprint block.  Each block of consecutive vertices is
+#: hashed once; an update re-hashes only the blocks it touches.
+FINGERPRINT_BLOCK = 32
+_BLOCK_DIGEST = 20
 
 
 class CSRGraph:
@@ -37,11 +42,11 @@ class CSRGraph:
     structural consistency of pre-built arrays.
     """
 
-    __slots__ = ("offsets", "neighbors", "_fingerprint")
+    __slots__ = ("offsets", "neighbors", "_fingerprint", "_blocks", "__weakref__")
 
     def __init__(self, offsets: np.ndarray, neighbors: np.ndarray) -> None:
-        offsets = np.asarray(offsets, dtype=np.int64)
-        neighbors = np.asarray(neighbors, dtype=np.int64)
+        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        neighbors = np.ascontiguousarray(neighbors, dtype=np.int64)
         if offsets.ndim != 1 or neighbors.ndim != 1:
             raise ValueError("offsets and neighbors must be 1-D arrays")
         if len(offsets) == 0 or offsets[0] != 0:
@@ -92,23 +97,73 @@ class CSRGraph:
         arrays are treated as immutable after construction (everything in
         this codebase reads but never writes them); mutating them in place
         would silently invalidate the memo.
+
+        The hash is a two-level blake2b: one 20-byte digest per block of
+        :data:`FINGERPRINT_BLOCK` consecutive vertices (over the block's
+        degrees and its slice of ``neighbors``), then one digest over the
+        sizes and the block digests in order.  The block digests are
+        memoised too, so an updated version re-hashes only the blocks
+        holding vertices whose adjacency changed
+        (:meth:`inherit_fingerprint`).
         """
         cached = getattr(self, "_fingerprint", None)
         if cached is not None:
             return cached
-        digest = hashlib.blake2b(digest_size=20)
-        arrays = [("offsets", self.offsets), ("neighbors", self.neighbors)]
+        count = -(-self.num_vertices // FINGERPRINT_BLOCK)
+        blocks = bytearray(count * _BLOCK_DIGEST)
+        self._hash_blocks(blocks, np.arange(count, dtype=np.int64))
+        return self._seal(blocks)
+
+    def inherit_fingerprint(self, parent: "CSRGraph", touched: np.ndarray) -> str:
+        """Memoise this graph's fingerprint from ``parent``'s block digests.
+
+        ``touched`` must hold every vertex whose degree or adjacency list
+        differs between ``parent`` and this graph (same vertex count); only
+        their blocks are re-hashed, every other block digest is copied.
+        The value equals :meth:`fingerprint` from scratch.
+        """
+        parent.fingerprint()
+        if any(getattr(graph, "weights", None) is not None for graph in (parent, self)):
+            return self.fingerprint()  # weights are not tracked per update
+        blocks = bytearray(parent._blocks)
+        touched = np.asarray(touched, dtype=np.int64)
+        self._hash_blocks(blocks, np.unique(touched // FINGERPRINT_BLOCK))
+        return self._seal(blocks)
+
+    def _hash_blocks(self, blocks: bytearray, which: np.ndarray) -> None:
+        """Write the digests of the blocks numbered ``which`` into ``blocks``."""
+        offsets = self.offsets
+        n = self.num_vertices
+        low = which * FINGERPRINT_BLOCK
+        high = np.minimum(low + FINGERPRINT_BLOCK, n)
+        degrees = memoryview(np.diff(offsets))
+        edges = memoryview(self.neighbors)
         weights = getattr(self, "weights", None)
         if weights is not None:
-            arrays.append(("weights", weights))
-        for name, array in arrays:
-            digest.update(name.encode("ascii"))
-            digest.update(str(array.dtype).encode("ascii"))
-            digest.update(np.int64(array.shape[0]).tobytes())
-            digest.update(np.ascontiguousarray(array).tobytes())
-        value = digest.hexdigest()
-        self._fingerprint = value
-        return value
+            weights = memoryview(np.ascontiguousarray(weights))
+        for block, first, last, start, stop in zip(
+            which.tolist(), low.tolist(), high.tolist(),
+            offsets[low].tolist(), offsets[high].tolist(),
+        ):
+            digest = hashlib.blake2b(degrees[first:last], digest_size=_BLOCK_DIGEST)
+            digest.update(edges[start:stop])
+            if weights is not None:
+                digest.update(weights[start:stop])
+            blocks[block * _BLOCK_DIGEST : (block + 1) * _BLOCK_DIGEST] = digest.digest()
+
+    def _seal(self, blocks: bytearray) -> str:
+        """The fingerprint over the sizes and the block digests; memoises both."""
+        digest = hashlib.blake2b(digest_size=20)
+        sizes = [FINGERPRINT_BLOCK, self.num_vertices, len(self.neighbors)]
+        weights = getattr(self, "weights", None)
+        if weights is not None:
+            digest.update(b"weights" + str(weights.dtype).encode("ascii"))
+            sizes.append(len(weights))
+        digest.update(np.asarray(sizes, dtype=np.int64).tobytes())
+        digest.update(blocks)
+        self._blocks = blocks
+        self._fingerprint = digest.hexdigest()
+        return self._fingerprint
 
     # ------------------------------------------------------------------
     # Shared-memory export (the engine's cross-process graph plane)

@@ -20,19 +20,24 @@ Three pieces:
   invalidates only entries whose recorded support intersects the delta
   region.
 * Two materialisation paths with a **rebuild threshold**: small batches
-  take the delta path — splice the changed rows into the parent's CSR
-  arrays (O(changes · log m) index work plus one memcpy of the neighbor
-  array, no global re-sort) — while batches touching more than
-  ``rebuild_threshold`` of the directed-edge volume rebuild from the full
-  edge list.  Both paths land on the *identical canonical arrays*: CSR
-  with sorted, deduplicated adjacency is a canonical form, so the
-  fingerprint depends only on the edge set, never on the update path or
-  ordering that produced it (the version-identity invariant the property
-  suite pins).
+  take the delta path — one pass that block-copies the parent's
+  ``neighbors`` between change positions into a preallocated array
+  (O(changes · log d) search work plus one memcpy, no global re-sort) —
+  while batches touching more than ``rebuild_threshold`` of the
+  directed-edge volume rebuild from the full edge list.  Both paths land
+  on the *identical canonical arrays*: CSR with sorted, deduplicated
+  adjacency is a canonical form, so the fingerprint depends only on the
+  edge set, never on the update path or ordering that produced it (the
+  version-identity invariant the property suite pins).  A new version's
+  fingerprint re-hashes only the blocks holding touched vertices
+  (:meth:`~repro.graph.csr.CSRGraph.inherit_fingerprint`).
 * :class:`EvolvingGraph` — the version chain: ``apply_updates`` appends,
   ``at(k)`` addresses any historical version, ``latest`` tracks the head.
   Engines and services built over an :class:`EvolvingGraph` resolve a
-  ``graph_version`` knob against this chain.
+  ``graph_version`` knob against this chain.  Versions are kept as
+  deltas: the chain holds CSRs only for the root, the latest version and
+  its parent, and an older version's ``graph`` is replayed from the
+  nearest ancestor whose CSR is still alive.
 
 >>> from repro.graph import cycle_graph
 >>> from repro.graph.evolving import EvolvingGraph
@@ -46,6 +51,7 @@ True
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -99,43 +105,72 @@ def _directed_encodings(pairs: np.ndarray, num_vertices: int) -> np.ndarray:
     return np.sort(np.concatenate([forward, backward]))
 
 
+def _row_positions(graph: CSRGraph, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Where each ``target`` sits, or would be inserted, in its source's row.
+
+    One vectorised binary search over every pair at once: adjacency rows
+    are sorted, so this is ``offsets[s] + searchsorted(row(s), t)``.
+    """
+    low = graph.offsets[sources]
+    high = graph.offsets[sources + 1]
+    while True:
+        open_ = low < high
+        if not open_.any():
+            return low
+        middle = (low + high) // 2
+        right = open_ & (graph.neighbors[np.where(open_, middle, 0)] < targets)
+        low = np.where(right, middle + 1, low)
+        high = np.where(open_ & ~right, middle, high)
+
+
 def _present_mask(graph: CSRGraph, pairs: np.ndarray) -> np.ndarray:
     """Which ``u < v`` pairs are existing edges of ``graph``."""
-    return np.fromiter(
-        (graph.has_edge(int(u), int(v)) for u, v in pairs),
-        dtype=bool,
-        count=len(pairs),
-    )
+    sources, targets = pairs[:, 0], pairs[:, 1]
+    positions = _row_positions(graph, sources, targets)
+    present = positions < graph.offsets[sources + 1]
+    present[present] = graph.neighbors[positions[present]] == targets[present]
+    return present
 
 
 def _splice(graph: CSRGraph, insert: np.ndarray, delete: np.ndarray) -> CSRGraph:
-    """Delta path: patch the parent's CSR arrays row-locally.
+    """Delta path: one pass over the parent's arrays, patching changed rows.
 
-    The parent's directed-edge key sequence ``src * n + dst`` is strictly
-    increasing (CSR rows are contiguous and adjacency lists sorted), so a
-    batch is two sorted-merge passes — ``searchsorted`` locates each change,
-    one ``delete``/``insert`` memcpy applies it — and the result is the
-    same canonical array a full rebuild would produce.  The keys are built
-    and decoded in place and the degrees patched from the delta alone, so
-    the only edge-sized arrays are the key array and the two copies
-    ``delete``/``insert`` make.
+    Each directed change is located by a binary search in its source's
+    sorted row.  The new ``neighbors`` is one preallocated array: the
+    parent's runs between change positions are block-copied, inserted
+    targets written between them and deleted entries skipped.  Offsets
+    shift by the running degree change.  The result is the same canonical
+    array a full rebuild would produce.
     """
     n = graph.num_vertices
-    degrees = np.diff(graph.offsets)
-    encoded = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    encoded *= n
-    encoded += graph.neighbors
-    if len(delete):
-        remove = _directed_encodings(delete, n)
-        encoded = np.delete(encoded, np.searchsorted(encoded, remove))
-        degrees -= np.bincount(remove // n, minlength=n)
-    if len(insert):
-        add = _directed_encodings(insert, n)
-        encoded = np.insert(encoded, np.searchsorted(encoded, add), add)
-        degrees += np.bincount(add // n, minlength=n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-    return CSRGraph(offsets, np.remainder(encoded, n, out=encoded))
+    add = _directed_encodings(insert, n)
+    remove = _directed_encodings(delete, n)
+
+    def located(keys: np.ndarray, deleted: int) -> list[tuple[int, int, int]]:
+        positions = _row_positions(graph, keys // n, keys % n).tolist()
+        return [(position, deleted, key) for position, key in zip(positions, keys.tolist())]
+
+    # At one position an insertion goes before the parent entry a deletion
+    # skips; insertions sharing a position (the end of one row and the
+    # start of the next) keep key order.
+    changes = sorted(located(add, 0) + located(remove, 1))
+    old = graph.neighbors
+    neighbors = np.empty(len(old) + len(add) - len(remove), dtype=np.int64)
+    read = write = 0
+    for position, deleted, key in changes:
+        neighbors[write : write + position - read] = old[read:position]
+        write += position - read
+        if deleted:
+            read = position + 1
+        else:
+            neighbors[write] = key % n
+            write += 1
+            read = position
+    neighbors[write:] = old[read:]
+    shift = np.bincount(add // n + 1, minlength=n + 1) - np.bincount(
+        remove // n + 1, minlength=n + 1
+    )
+    return CSRGraph(graph.offsets + np.cumsum(shift), neighbors)
 
 
 def _rebuild(graph: CSRGraph, insert: np.ndarray, delete: np.ndarray) -> CSRGraph:
@@ -151,18 +186,40 @@ def _rebuild(graph: CSRGraph, insert: np.ndarray, delete: np.ndarray) -> CSRGrap
     return from_edge_arrays(encoded // n, encoded % n, num_vertices=n)
 
 
+def _derive(
+    graph: CSRGraph, insert: np.ndarray, delete: np.ndarray, touched: np.ndarray, rebuild: bool
+) -> CSRGraph:
+    """``graph`` with one batch of effective changes applied, its
+    fingerprint memoised from ``graph``'s block digests."""
+    if not len(insert) and not len(delete):
+        return graph
+    updated = (_rebuild if rebuild else _splice)(graph, insert, delete)
+    updated.inherit_fingerprint(graph, touched)
+    return updated
+
+
 class GraphVersion:
     """One immutable version of an evolving graph.
 
     ``graph`` is a plain canonical :class:`~repro.graph.csr.CSRGraph` —
     every downstream plane (kernels, shared memory, sharding, caching)
     consumes it unchanged.  ``touched`` is the sorted vertex set whose
-    adjacency differs from ``parent``; ``rebuilt`` records which
-    materialisation path produced the arrays (the content is identical
-    either way).
+    adjacency differs from ``parent``; ``insert`` and ``delete`` are the
+    batch's *effective* changes (``(k, 2)`` arrays of ``u < v`` pairs);
+    ``rebuilt`` records which materialisation path produced the arrays
+    (the content is identical either way).
+
+    A version holds its CSR strongly until its chain releases it
+    (:class:`EvolvingGraph` keeps only the root, the latest version and
+    the latest's parent).  After that it holds the CSR weakly, and
+    ``graph`` on a version whose CSR was collected rebuilds the identical
+    arrays by replaying the deltas from the nearest ancestor whose CSR is
+    still alive.  The fingerprint is memoised on the version, so cache
+    identity never needs the arrays.
     """
 
-    __slots__ = ("graph", "version", "parent", "touched", "rebuilt")
+    __slots__ = ("version", "parent", "touched", "rebuilt", "insert", "delete",
+                 "_graph", "_graph_ref", "_fingerprint")
 
     def __init__(
         self,
@@ -171,8 +228,12 @@ class GraphVersion:
         parent: "GraphVersion | None" = None,
         touched: np.ndarray | None = None,
         rebuilt: bool = False,
+        insert: np.ndarray | None = None,
+        delete: np.ndarray | None = None,
     ) -> None:
-        self.graph = graph
+        self._graph: CSRGraph | None = graph
+        self._graph_ref: "weakref.ref[CSRGraph] | None" = None
+        self._fingerprint: str | None = getattr(graph, "_fingerprint", None)
         self.version = int(version)
         self.parent = parent
         self.touched = (
@@ -181,10 +242,50 @@ class GraphVersion:
             else np.unique(np.asarray(touched, dtype=np.int64))
         )
         self.rebuilt = bool(rebuilt)
+        no_edges = np.empty((0, 2), dtype=np.int64)
+        self.insert = no_edges if insert is None else insert
+        self.delete = no_edges if delete is None else delete
+
+    @property
+    def graph(self) -> CSRGraph:
+        """This version's CSR, replayed from an ancestor if it was dropped."""
+        graph = self._live_graph()
+        return graph if graph is not None else self._replay()
+
+    def _live_graph(self) -> CSRGraph | None:
+        if self._graph is not None:
+            return self._graph
+        return self._graph_ref() if self._graph_ref is not None else None
+
+    def _release(self) -> None:
+        """Hold the CSR weakly from now on (a version with a parent only)."""
+        if self._graph is not None:
+            self._graph_ref = weakref.ref(self._graph)
+            self._graph = None
+
+    def _replay(self) -> CSRGraph:
+        """Re-apply the deltas from the nearest ancestor whose CSR is alive.
+
+        Every path to a version's edge set lands on the same canonical
+        arrays, so the replayed CSR is identical to the one first built.
+        """
+        pending = []
+        version: GraphVersion = self
+        graph = None
+        while graph is None:  # ends at the latest: the root holds its CSR
+            pending.append(version)
+            version = version.parent  # type: ignore[assignment]
+            graph = version._live_graph()
+        for version in reversed(pending):
+            graph = _derive(graph, version.insert, version.delete, version.touched, version.rebuilt)
+            version._graph_ref = weakref.ref(graph)
+        return graph
 
     def fingerprint(self) -> str:
         """Content fingerprint of this version's edge set (cache identity)."""
-        return self.graph.fingerprint()
+        if self._fingerprint is None:
+            self._fingerprint = self.graph.fingerprint()
+        return self._fingerprint
 
     def apply(
         self,
@@ -222,8 +323,7 @@ class GraphVersion:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
-            f"GraphVersion(v{self.version}, n={self.graph.num_vertices}, "
-            f"m2={len(self.graph.neighbors)}, touched={len(self.touched)}, "
+            f"GraphVersion(v{self.version}, touched={len(self.touched)}, "
             f"fingerprint={self.fingerprint()[:12]})"
         )
 
@@ -269,26 +369,17 @@ def apply_updates(
     # touched set (or the cache invalidation region derived from it).
     insert = insert[~_present_mask(graph, insert)]
     delete = delete[_present_mask(graph, delete)]
-    if not len(insert) and not len(delete):
-        return GraphVersion(
-            graph,
-            version=parent.version + 1,
-            parent=parent,
-            touched=np.empty(0, dtype=np.int64),
-            rebuilt=False,
-        )
     directed_changes = 2 * (len(insert) + len(delete))
     rebuild = directed_changes > rebuild_threshold * max(len(graph.neighbors), 1)
-    updated = (
-        _rebuild(graph, insert, delete) if rebuild else _splice(graph, insert, delete)
-    )
     touched = np.unique(np.concatenate([insert.ravel(), delete.ravel()]))
     return GraphVersion(
-        updated,
+        _derive(graph, insert, delete, touched, rebuild),
         version=parent.version + 1,
         parent=parent,
         touched=touched,
         rebuilt=rebuild,
+        insert=insert,
+        delete=delete,
     )
 
 
@@ -301,6 +392,14 @@ class EvolvingGraph:
     admitted-against-version semantics both resolve against one chain.
     Appending is the only mutation and versions are immutable, so readers
     on other threads see a consistent chain without locking.
+
+    The chain holds CSRs strongly only for the root, the latest version
+    and the latest's parent; every older version is kept as its delta and
+    holds its CSR weakly, so memory stays at a few graphs however long the
+    chain grows.  ``at(k).graph`` on a version whose CSR was collected
+    replays the deltas from the nearest live ancestor — usually the root,
+    so one O(m) splice per version between them — and yields the
+    identical arrays.
     """
 
     def __init__(
@@ -351,6 +450,11 @@ class EvolvingGraph:
             self.latest, insertions, deletions, rebuild_threshold=self.rebuild_threshold
         )
         self._versions.append(version)
+        # Only the root, the latest version and its parent (which cache
+        # migration reads) keep their CSRs; older ones replay on demand.
+        stale = version.parent.parent  # type: ignore[union-attr]
+        if stale is not None and stale.parent is not None:
+            stale._release()
         return version
 
     def __len__(self) -> int:

@@ -46,12 +46,14 @@ A service built on an :class:`~repro.graph.evolving.EvolvingGraph` also
 serves **versions**.  Every submission is stamped with a graph version at
 admission (an explicit ``graph_version=``, else the chain's current
 latest); batches are homogeneous in version, oldest queued version first,
-and each version executes through its own pinned engine sharing the one
-backend and result cache.  ``await service.update(...)`` appends a new
-version between batches — in-flight and already-admitted queries still
-answer against the version they were admitted under, and the cross-version
-cache migration (:func:`repro.cache.advance_version`) carries unaffected
-entries forward so the new version starts warm.
+and each version executes through a session of its own pinned engine
+sharing the one backend and result cache.  At most two such sessions are
+open at once, so the service keeps no old version's graph alive.
+``await service.update(...)`` appends a new version between batches —
+in-flight and already-admitted queries still answer against the version
+they were admitted under, and the cross-version cache migration
+(:func:`repro.cache.advance_version`) carries unaffected entries forward
+so the new version starts warm.
 
 >>> import asyncio
 >>> from repro.graph import barbell_graph
@@ -214,7 +216,6 @@ class DiffusionService:
         self.stats = ServiceStats()
         #: the version chain being served, or ``None`` for a static graph.
         self.evolving: "EvolvingGraph | None" = self.engine.evolving
-        self._engines: dict[int, BatchEngine] = {}
         # Admission costs calibrate online.  A pool backend owns a model
         # (its session observes every outcome); pool-less backends get a
         # service-owned one fed from _resolve, so `max_batch_cost` tracks
@@ -313,25 +314,24 @@ class DiffusionService:
                 "service per loop"
             )
 
-    def _engine_for(self, version: int | None) -> BatchEngine:
-        """The engine serving ``version`` — the base engine, or a sibling
-        pinned via :meth:`BatchEngine.at_version` (sharing the base
-        engine's backend, cache and calibration)."""
-        if version is None or version == self.engine.graph_version:
-            return self.engine
-        engine = self._engines.get(version)
-        if engine is None:
-            engine = self._engines.setdefault(version, self.engine.at_version(version))
-        return engine
-
     def _open_session(self, version: int | None = None) -> ExecutionSession:
         """Open (or reuse) the session for ``version`` — runs in the worker
-        thread.  ``None`` resolves to the service's default version."""
+        thread.  ``None`` resolves to the service's default version.
+
+        Another version's session comes from a sibling engine pinned via
+        :meth:`BatchEngine.at_version` (sharing the base engine's backend,
+        cache and calibration).  The sibling is not kept: only the open
+        sessions hold a version's graph, so a closed one frees it."""
         if self.evolving is not None and version is None:
             version = self._admit_version(None)
         session = self._sessions.get(version)
         if session is None:
-            session = self._engine_for(version).open_session()
+            engine = (
+                self.engine
+                if version is None or version == self.engine.graph_version
+                else self.engine.at_version(version)
+            )
+            session = engine.open_session()
             self._sessions[version] = session
             while len(self._sessions) > self._MAX_OPEN_SESSIONS:
                 oldest = min(

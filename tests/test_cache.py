@@ -10,6 +10,7 @@ outcomes exactly and survives the process.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import ClassVar
 
 import numpy as np
@@ -489,6 +490,72 @@ class TestCachingBackend:
         assert isinstance(engine.backend, CachingBackend)
         assert engine.cache is engine.backend.cache
         assert BatchEngine(graph).cache is None
+
+
+class TestCachedOneShot:
+    """A one-shot cached batch sends its misses down the inner backend's
+    one-shot path, so the pool decision is the uncached one; sessions
+    still keep one inner pool across batches."""
+
+    JOBS = staticmethod(
+        lambda seeds: [
+            DiffusionJob.make(seed, params={"alpha": alpha, "eps": 1e-4})
+            for seed in seeds
+            for alpha in (0.1, 0.01)
+        ]
+    )
+
+    def test_short_cached_call_opens_no_pool(self, graph, pools_opened):
+        cached = ncp_profile(graph, seeds=[1, 2], workers=2, cache=True)
+        assert pools_opened == []
+        uncached = ncp_profile(graph, seeds=[1, 2], workers=2)
+        assert np.array_equal(cached.conductance, uncached.conductance)
+        assert cached.runs == uncached.runs
+
+        jobs = self.JOBS((1, 2))
+        engine = BatchEngine(graph, workers=2, cache=ResultCache())
+        outcomes = engine.run(jobs)
+        assert pools_opened == []
+        assert engine.dispatch_stats.batches == 0
+        reference = BatchEngine(graph, workers=2).run(jobs)
+        for got, want in zip(outcomes, reference):
+            for field in dataclasses.fields(want):
+                if field.name in ("wall_seconds", "warmup_seconds"):
+                    continue
+                mine, theirs = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(theirs, np.ndarray):
+                    assert np.array_equal(mine, theirs), field.name
+                elif field.name == "sweep":
+                    assert np.array_equal(mine.order, theirs.order)
+                    assert mine.best_conductance == theirs.best_conductance
+                else:
+                    assert mine == theirs, field.name
+
+    def test_cached_call_past_break_even_opens_one_pool(self, graph, forced_pool):
+        engine = BatchEngine(graph, workers=2, cache=ResultCache())
+        cold = engine.run(self.JOBS((1, 2, 3)))
+        assert len(forced_pool) == 1
+        assert engine.dispatch_stats.batches == 1
+        warm = engine.run(self.JOBS((1, 2, 3)))
+        assert len(forced_pool) == 1  # every job a hit: no second pool
+        assert [o.cached for o in warm] == [True] * len(warm)
+        assert [o.conductance for o in warm] == [o.conductance for o in cold]
+
+    def test_abandoned_cached_stream_shuts_its_pool_down(self, graph, forced_pool):
+        engine = BatchEngine(graph, workers=2, cache=ResultCache())
+        stream = engine.map(self.JOBS((1, 2, 3)))
+        next(stream)
+        next(stream)  # the second outcome comes from the pool
+        (pool,) = forced_pool
+        stream.close()
+        assert pool.closed
+
+    def test_session_keeps_one_inner_pool(self, graph, pools_opened):
+        engine = BatchEngine(graph, workers=2, cache=ResultCache())
+        with engine.open_session() as session:
+            list(session.run(self.JOBS((1,))))
+            list(session.run(self.JOBS((2,))))
+        assert len(pools_opened) == 1
 
 
 class TestCachedAPIs:

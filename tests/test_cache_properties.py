@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.graph import CSRGraph, from_edge_arrays
+from repro.graph.csr import FINGERPRINT_BLOCK
 from repro.graph.builder import edge_arrays_of
 from repro.graph.io import (
     load_npz,
@@ -26,9 +27,9 @@ MAX_VERTICES = 24
 
 
 @st.composite
-def graphs(draw, min_edges=0):
+def graphs(draw, min_edges=0, max_vertices=MAX_VERTICES):
     """A small simple undirected graph from an arbitrary edge list."""
-    n = draw(st.integers(min_value=2, max_value=MAX_VERTICES))
+    n = draw(st.integers(min_value=2, max_value=max_vertices))
     vertex = st.integers(min_value=0, max_value=n - 1)
     edges = draw(
         st.lists(st.tuples(vertex, vertex), min_size=min_edges, max_size=60).filter(
@@ -194,3 +195,59 @@ def test_differently_materialised_versions_share_cache_entries():
     (hit,) = BatchEngine(rebuilt.graph, cache=cache, include_vectors=True).run([job])
     assert hit.cached
     assert np.array_equal(hit.vector_keys, cold.vector_keys)
+
+
+@given(graph=graphs(max_vertices=4 * FINGERPRINT_BLOCK + 5), data=st.data())
+def test_incremental_fingerprint_equals_scratch_on_both_paths(graph, data):
+    # Child fingerprints re-hash only the blocks holding touched vertices
+    # (graphs here span up to five blocks); the value must equal a
+    # from-scratch hash of copied arrays, and the splice and rebuild
+    # chains must agree version by version.
+    from repro.graph import EvolvingGraph
+
+    chains = [EvolvingGraph(graph, rebuild_threshold=t) for t in (1.0, 0.0)]
+    for _ in range(data.draw(st.integers(1, 4))):
+        insertions = data.draw(update_edges_for(graph, min_size=0))
+        inserted = {tuple(sorted(pair)) for pair in insertions}
+        deletions = [
+            pair
+            for pair in data.draw(update_edges_for(graph, min_size=0))
+            if tuple(sorted(pair)) not in inserted
+        ]
+        spliced, rebuilt = (
+            chain.apply_updates(insertions=insertions, deletions=deletions)
+            for chain in chains
+        )
+        arrays = spliced.graph
+        scratch = CSRGraph(arrays.offsets.copy(), arrays.neighbors.copy()).fingerprint()
+        assert spliced.fingerprint() == scratch == rebuilt.fingerprint()
+        assert np.array_equal(arrays.neighbors, rebuilt.graph.neighbors)
+        assert np.array_equal(arrays.offsets, rebuilt.graph.offsets)
+
+    # Delete-then-reinsert returns to the ancestor's fingerprint on both paths.
+    sources, targets = edge_arrays_of(chains[0].latest.graph)
+    assume(len(sources))
+    edge = (int(sources[-1]), int(targets[-1]))
+    for chain in chains:
+        before = chain.latest.fingerprint()
+        assert chain.apply_updates(deletions=[edge]).fingerprint() != before
+        assert chain.apply_updates(insertions=[edge]).fingerprint() == before
+
+
+def test_inherited_fingerprint_ignores_a_weighted_parent():
+    # Block digests of a weighted graph fold its weights in, so a child
+    # must not copy them; it falls back to hashing from scratch.
+    from repro.graph import cycle_graph
+
+    class Weighted(CSRGraph):
+        __slots__ = ("weights",)
+
+    base = cycle_graph(100)
+    parent = Weighted(base.offsets, base.neighbors)
+    parent.weights = np.full(len(base.neighbors), 3.0)
+    child = from_edge_arrays(
+        *(np.append(array, extra) for array, extra in zip(edge_arrays_of(base), (0, 50))),
+        num_vertices=100,
+    )
+    inherited = child.inherit_fingerprint(parent, np.array([0, 50]))
+    assert inherited == CSRGraph(child.offsets.copy(), child.neighbors.copy()).fingerprint()

@@ -15,8 +15,10 @@ import doctest
 import pytest
 
 import repro
+import repro.cache.evolving
 import repro.engine
 import repro.engine.scheduler
+import repro.graph.evolving
 import repro.graph.shared
 import repro.graph.sharded
 import repro.kernels
@@ -25,8 +27,10 @@ import repro.serve.service
 
 MODULES = [
     repro,
+    repro.cache.evolving,
     repro.engine,
     repro.engine.scheduler,
+    repro.graph.evolving,
     repro.graph.shared,
     repro.graph.sharded,
     repro.kernels,

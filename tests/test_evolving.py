@@ -134,6 +134,20 @@ class TestEvolvingGraph:
         with pytest.raises(ValueError, match="root version"):
             EvolvingGraph(v1)
 
+    def test_chain_keeps_root_latest_and_parent_graphs(self):
+        import gc
+        import weakref
+
+        chain = EvolvingGraph(cycle_graph(100))
+        graphs = [weakref.ref(chain.at(0).graph)]
+        for k in range(1, 8):
+            graphs.append(weakref.ref(chain.apply_updates(insertions=[(k, k + 50)]).graph))
+        gc.collect()
+        assert [k for k, ref in enumerate(graphs) if ref() is not None] == [0, 6, 7]
+        replayed = chain.at(3).graph
+        assert replayed.has_edge(3, 53) and not replayed.has_edge(4, 54)
+        assert replayed.fingerprint() == chain.at(3).fingerprint()
+
     def test_num_vertices_stable_across_versions(self, small_cycle):
         chain = EvolvingGraph(small_cycle)
         chain.apply_updates(insertions=[(0, 3)])
@@ -297,3 +311,100 @@ class TestCacheMigration:
         v1 = chain.apply_updates(insertions=[(100, 102)])
         stats = advance_version(cache, v1)
         assert stats.survived == 0 and stats.skipped == 1
+
+
+def full_scan_advance(cache, version):
+    """Reference migration: scan every resident entry, test the region as a
+    Python set (the store's fingerprint index must change neither the
+    counters nor the survivors)."""
+    import dataclasses
+
+    from repro.cache.evolving import MONOTONE_SUPPORT_METHODS, _sweep_volume_safe
+
+    parent = version.parent
+    old, new = parent.fingerprint(), version.fingerprint()
+    stats = MigrationStats()
+    if old == new:
+        return stats
+    region = set(delta_region(parent.graph, version.graph, version.touched).tolist())
+    totals = len(parent.graph.neighbors), len(version.graph.neighbors)
+    everything = [(key, entry[0]) for key, entry in cache.memory._entries.items()]
+    for key, outcome in everything:
+        if key.graph != old:
+            continue
+        stats.examined += 1
+        if key.method not in MONOTONE_SUPPORT_METHODS or (
+            outcome.vector_keys is None and outcome.support_size > 0
+        ):
+            stats.skipped += 1
+            continue
+        profile = set(key.seeds)
+        if outcome.vector_keys is not None:
+            profile.update(outcome.vector_keys.tolist())
+        if profile & region or not _sweep_volume_safe(outcome, *totals):
+            stats.invalidated += 1
+            continue
+        cache.put(dataclasses.replace(key, graph=new), outcome)
+        stats.survived += 1
+    return stats
+
+
+class TestIndexedMigration:
+    def warm_cache(self, chain):
+        """Entries under three fingerprints: pr-nibble with and without
+        vectors, and nibble (never migrated), on versions 0..2."""
+        cache = ResultCache()
+        for version in range(3):
+            for vectors in (True, False):
+                engine = BatchEngine(
+                    chain, cache=cache, include_vectors=vectors, graph_version=version
+                )
+                engine.run(
+                    [
+                        DiffusionJob.make(seed, params={"alpha": 0.1, "eps": 1e-3})
+                        for seed in range(0, 200, 9)
+                    ]
+                    + [DiffusionJob.make(seed, method="nibble") for seed in (3, 150)]
+                )
+            # re-touch a few entries so the LRU order is not insertion order
+            BatchEngine(chain, cache=cache, include_vectors=True, graph_version=version).run(
+                [DiffusionJob.make(seed, params={"alpha": 0.1, "eps": 1e-3}) for seed in (18, 0)]
+            )
+        return cache
+
+    def test_index_matches_the_full_scan(self):
+        chains = [EvolvingGraph(cycle_graph(200)) for _ in range(2)]
+        updates = [
+            {"insertions": [(40, 47)]},
+            {"deletions": [(120, 121)], "insertions": [(150, 190)]},
+            {"insertions": [(60, 64), (5, 100)]},
+        ]
+        caches = []
+        for chain in chains:
+            chain.apply_updates(**updates[0])
+            chain.apply_updates(**updates[1])
+            caches.append(self.warm_cache(chain))
+            chain.apply_updates(**updates[2])
+        indexed = advance_version(caches[0], chains[0].latest)
+        reference = full_scan_advance(caches[1], chains[1].latest)
+        assert indexed == reference
+        assert indexed.examined > indexed.survived > 0 and indexed.invalidated > 0
+        assert indexed.skipped > 0
+        assert list(caches[0].memory._entries) == list(caches[1].memory._entries)
+
+    def test_index_follows_eviction_and_clear(self):
+        from repro.cache import LRUStore
+
+        chain = EvolvingGraph(cycle_graph(200))
+        chain.apply_updates(insertions=[(40, 47)])
+        chain.apply_updates(insertions=[(60, 64)])
+        cache = ResultCache(memory=LRUStore(max_entries=10))
+        warm = self.warm_cache(chain)
+        for key, outcome in warm.memory._entries.items():
+            cache.put(key, outcome[0])
+        assert len(cache.memory) == 10
+        for fingerprint in {key.graph for key in warm.memory._entries}:
+            resident = [key for key in cache.memory._entries if key.graph == fingerprint]
+            assert [key for key, _ in cache.memory_items(fingerprint)] == resident
+        cache.clear()
+        assert cache.memory_items(chain.at(0).fingerprint()) == []

@@ -11,6 +11,8 @@ migration never serves a superseded edge set.
 from __future__ import annotations
 
 import asyncio
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ import pytest
 from repro.cache import MigrationStats, ResultCache
 from repro.core.options import RequestError
 from repro.engine import BatchEngine, DiffusionJob
-from repro.graph import EvolvingGraph, GraphVersion, planted_partition
+from repro.engine.executor import run_job
+from repro.graph import CSRGraph, EvolvingGraph, GraphVersion, planted_partition
 from repro.serve import DiffusionService
 
 PARAMS = {"alpha": 0.05, "eps": 1e-4}
@@ -241,3 +244,83 @@ class TestInterleavedUpdatesTorture:
         # The cache must have actually been exercised across versions —
         # otherwise this proves nothing about migration staleness.
         assert hits > 0
+
+
+def new_edges(graph, count, seed):
+    """``count`` distinct non-edges of ``graph``, as ``u < v`` pairs."""
+    rng = np.random.default_rng(seed)
+    chosen: set[tuple[int, int]] = set()
+    while len(chosen) < count:
+        u, v = sorted(int(x) for x in rng.integers(0, graph.num_vertices, size=2))
+        if u != v and not graph.has_edge(u, v):
+            chosen.add((u, v))
+    return sorted(chosen)
+
+
+class TestRetention:
+    def test_fifty_updates_keep_three_graphs_alive(self, base_graph):
+        # The chain keeps CSRs for the root, the latest version and its
+        # parent; the service keeps at most two sessions and no per-version
+        # engines, so nothing else may pin an old version's graph.
+        chain = EvolvingGraph(base_graph)
+        edges = new_edges(base_graph, 100, seed=3)
+        graphs = [weakref.ref(chain.at(0).graph)]
+
+        async def scenario():
+            async with DiffusionService(chain, cache=True) as service:
+                for round_ in range(50):
+                    version, _ = await service.update(
+                        insertions=edges[2 * round_ : 2 * round_ + 2],
+                        deletions=edges[2 * round_ - 2 : 2 * round_ - 1] if round_ else (),
+                    )
+                    graphs.append(weakref.ref(version.graph))
+                    del version
+                    await service.submit(job_for(round_ % 7 * 80))
+                    assert len(service._sessions) <= service._MAX_OPEN_SESSIONS
+                gc.collect()
+                return [k for k, ref in enumerate(graphs) if ref() is not None]
+
+        alive = asyncio.run(scenario())
+        assert alive == [0, 49, 50]
+
+    def test_dropped_version_replays_identically_and_answers(self, base_graph):
+        # Small batches splice; every third batch is large enough to rebuild.
+        chain = EvolvingGraph(base_graph, rebuild_threshold=0.003)
+        edges = new_edges(base_graph, 60, seed=4)
+        built = {}
+        for k in range(6):
+            version = chain.apply_updates(
+                insertions=edges[10 * k : 10 * k + (10 if k % 3 == 2 else 2)],
+                deletions=edges[10 * k - 10 : 10 * k - 9] if k else (),
+            )
+            graph = version.graph
+            built[version.version] = (
+                graph.offsets.copy(), graph.neighbors.copy(), version.fingerprint()
+            )
+        del version, graph
+        assert {chain.at(k).rebuilt for k in built} == {False, True}
+        probe = weakref.ref(chain.at(2).graph)
+        gc.collect()
+        assert probe() is None  # version 2's CSR was released and collected
+        for k, (offsets, neighbors, fingerprint) in built.items():
+            replayed = chain.at(k).graph
+            assert np.array_equal(replayed.offsets, offsets)
+            assert np.array_equal(replayed.neighbors, neighbors)
+            assert replayed.fingerprint() == fingerprint == chain.at(k).fingerprint()
+            del replayed
+        gc.collect()
+
+        job = job_for(0)
+
+        async def scenario():
+            async with DiffusionService(chain, cache=True, include_vectors=True) as service:
+                return await service.submit(job, graph_version=2)
+
+        served = asyncio.run(scenario())
+        cold = run_job(CSRGraph(*built[2][:2]), job, parallel=True, include_vector=True)
+        assert served.support_size == cold.support_size
+        assert served.pushes == cold.pushes
+        assert served.conductance == cold.conductance
+        assert np.array_equal(served.cluster, cold.cluster)
+        assert np.array_equal(served.vector_keys, cold.vector_keys)
+        assert np.array_equal(served.vector_values, cold.vector_values)
