@@ -26,11 +26,10 @@ Subpackages
     The clustering algorithms, sweep cut, quality metrics, NCP driver.
 ``repro.engine``
     Batch executor: independent diffusion jobs fanned across a process
-    pool, shard-routed (``shards=``), or run serially, aggregated
-    through reducers.
+    pool or run serially, aggregated through reducers.
 ``repro.graph``
     CSR graphs, builders, generators, IO, Table-2 proxy registry, the
-    shared-memory export plane and the sharded (partitioned) plane.
+    version chain of an evolving graph and the shared-memory export plane.
 ``repro.kernels``
     Compiled kernel plane: C-compiled twins of the hot
     diffusion loops, selected by the ``kernel=`` knob, bit-identical to

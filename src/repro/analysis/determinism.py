@@ -3,7 +3,7 @@
 The repo's core contract (and the reason its differential harnesses
 work at all) is that ``core/``, ``kernels/`` and ``prims/`` produce
 bit-identical outcomes across kernels, backends, start methods and
-shard counts.  Three things silently break that:
+graph versions.  Three things silently break that:
 
 * **unordered-set iteration** — ``for v in {…}`` or ``for v in set(x)``
   visits vertices in hash order, which varies with ``PYTHONHASHSEED``

@@ -32,7 +32,7 @@ from .core import Finding, Project, Rule, Source
 __all__ = ["KnobThreadingRule", "WireSchemaRule"]
 
 #: Knobs deliberately absent from the CLI: ``backend`` is inferred
-#: (``--shards``/``--workers`` imply it), ``parallel`` and
+#: (``--workers`` implies it), ``parallel`` and
 #: ``include_vectors`` are per-call API arguments, not serving flags.
 CLI_EXEMPT = frozenset({"backend", "parallel", "include_vectors"})
 

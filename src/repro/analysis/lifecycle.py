@@ -1,12 +1,11 @@
 """Resource lifecycle: every shared resource has a teardown on all paths.
 
 The resources this repo creates — ``SharedMemory`` segments, worker
-``Pool``\\ s, executor sessions, sharded graph views — outlive a garbage
-collection (OS-level segments, child processes), so "the GC will get
-it" is a leak.  PR 8's shm leak audit and the spawn-leg ``/dev/shm``
-check catch leaks *dynamically* when a test happens to exercise the
-path; this rule demands the *syntactic* evidence that the teardown runs
-on every path.
+``Pool``\\ s, executor sessions — outlive a garbage collection (OS-level
+segments, child processes), so "the GC will get it" is a leak.  The shm
+leak audits and the spawn-leg ``/dev/shm`` check catch leaks
+*dynamically* when a test happens to exercise the path; this rule
+demands the *syntactic* evidence that the teardown runs on every path.
 
 For each creation of a tracked resource the rule accepts, in the
 enclosing scope, any one of:
@@ -47,14 +46,11 @@ CREATOR_NAMES = frozenset(
         "ProcessPoolExecutor",
         "open_session",
         "share",
-        "ShardedGraphView",
     }
 )
 
 #: ``Class.create(...)`` factories (qualified, to keep ``create`` narrow).
-CREATOR_QUALIFIED = frozenset(
-    {("SharedCSR", "create"), ("ShardedCSR", "create")}
-)
+CREATOR_QUALIFIED = frozenset({("SharedCSR", "create")})
 
 TEARDOWN_METHODS = frozenset(
     {

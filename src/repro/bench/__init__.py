@@ -11,7 +11,6 @@ from .harness import (
     results_dir,
     write_csv,
 )
-from .memory import measure_probe, serve_and_report
 
 __all__ = [
     "BatchRun",
@@ -20,8 +19,6 @@ __all__ = [
     "batched_run",
     "format_seconds",
     "format_table",
-    "measure_probe",
-    "serve_and_report",
     "profiled_run",
     "results_dir",
     "write_csv",

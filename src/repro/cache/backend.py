@@ -1,7 +1,7 @@
 """The caching execution backend: dispatch misses, replay hits, in order.
 
-:class:`CachingBackend` wraps any engine backend (serial, process pool or
-shard router) behind the same session protocol the
+:class:`CachingBackend` wraps any engine backend (serial or process
+pool) behind the same session protocol the
 :class:`~repro.engine.executor.BatchEngine` consumes.  For each batch its
 :class:`CachingSession`
 

@@ -46,14 +46,6 @@ for the run — overlapping grids coalesce) and ``--cache-dir DIR``
 (persist outcomes on disk so repeated invocations replay instead of
 re-diffusing).
 
-``batch`` and ``serve`` accept ``--shards K`` (execute through the
-sharded graph plane: the CSR is partitioned into K vertex-range shards,
-each job routes to the shard(s) owning its seeds, and shards attach
-lazily as diffusions cross boundaries) plus ``--max-resident-shards``
-(bound resident graph memory), ``--spill-shards`` (whole-graph fallback
-threshold) and ``--halo-bytes`` (budget of the boundary-row cache that
-serves hot cross-shard reads without attaching the neighbour shard).
-
 ``cluster`` and ``serve`` accept ``--updates FILE`` (replay an
 edge-update file into a version chain before running) and
 ``--at-version K`` (select which version to run against); ``serve``
@@ -311,10 +303,7 @@ def _cache_from_args(args: argparse.Namespace):
 
 #: engine knobs that surface as CLI flags of the same name, and the
 #: pattern that finds them in a validator message.
-_FLAG_KNOBS = (
-    "workers", "start_method", "schedule", "shards", "max_resident_shards",
-    "spill_shards", "halo_bytes", "kernel",
-)
+_FLAG_KNOBS = ("workers", "start_method", "schedule", "kernel")
 _FLAG_KNOB_NAMES = re.compile(r"(?<![\w-])(" + "|".join(_FLAG_KNOBS) + r")(?![\w-])")
 
 
@@ -436,7 +425,7 @@ def _print_scheduler_stats(engine: BatchEngine, stats) -> None:
     """The --stats report: per-worker dispatch accounting + calibration."""
     dispatch = stats.dispatch
     if dispatch is None:
-        print("scheduler: no pool dispatch (serial or sharded backend)")
+        print("scheduler: no pool dispatch (serial backend)")
     elif dispatch["batches"] == 0:
         reason = (
             "every job was a cache hit"
@@ -803,7 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cost-calibration snapshot",
     )
     _add_pool_flags(batch)
-    _add_shard_flags(batch)
     _add_kernel_flag(batch)
     _add_cache_flags(batch)
     batch.set_defaults(run=_cmd_batch)
@@ -880,7 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
         "requests get a structured 429 reply (default 64)",
     )
     _add_pool_flags(serve)
-    _add_shard_flags(serve)
     _add_kernel_flag(serve)
     _add_cache_flags(serve)
     _add_version_flags(serve)
@@ -981,45 +968,6 @@ def _add_version_flags(parser: argparse.ArgumentParser) -> None:
         dest="at_version",
         help="run against this version of the update chain "
         "(default: the latest; version 0 is the loaded graph)",
-    )
-
-
-def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="K",
-        help="partition the graph into K contiguous vertex-range shards and "
-        "route each job to the shard(s) owning its seeds; shards attach "
-        "lazily, so the whole graph need not stay resident (in-process; "
-        "incompatible with --workers > 1)",
-    )
-    parser.add_argument(
-        "--max-resident-shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with --shards: keep at most N shards attached at once "
-        "(least-recently-used detach) — bounds resident graph memory",
-    )
-    parser.add_argument(
-        "--spill-shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with --shards: a job touching more than N distinct shards "
-        "falls back to whole-graph execution (results are identical "
-        "either way)",
-    )
-    parser.add_argument(
-        "--halo-bytes",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="with --shards: byte budget of the per-view halo cache — hot "
-        "boundary-vertex rows served without attaching the neighbour "
-        "shard (default 1 MiB; 0 disables)",
     )
 
 

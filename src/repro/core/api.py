@@ -175,7 +175,7 @@ async def async_local_cluster(
             **param_overrides,
         )
         return await loop.run_in_executor(None, call)
-    served = service.engine.graph
+    served = service.graph
     if served is not graph and served.fingerprint() != graph.fingerprint():
         raise ValueError("service was built for a different graph")
     if parallel != service.engine.parallel:

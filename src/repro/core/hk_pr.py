@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..kernels import csr_arrays, get_kernels, resolve_kernel
+from ..kernels import get_kernels, resolve_kernel
 from ..ligra import VertexSubset, charge_edge_map, edge_map, expand_by_degree, vertex_map
 from ..prims.hashtable import TableCharges
 from ..prims.sparse import SparseDict, SparseVector
@@ -151,19 +151,17 @@ def hk_pr_parallel(
 
     ``kernel`` selects the implementation (see :mod:`repro.kernels`): a
     compiled kernel runs the same levels over the raw CSR arrays and is
-    bit-identical to the numpy levels below (``kernel="python"``, also
-    the path for graphs without whole-CSR arrays) — entry order, values,
-    counters, ``levels``, frontier sizes and the recorded work/depth
-    profile.
+    bit-identical to the numpy levels below (``kernel="python"``) — entry
+    order, values, counters, ``levels``, frontier sizes and the recorded
+    work/depth profile.
     """
     seed_list = seed_array(seeds, graph.num_vertices)
     n_taylor = params.taylor_degree
     psi = psi_coefficients(params.t, n_taylor)
     kernel_name = resolve_kernel(kernel)
-    arrays = csr_arrays(graph) if kernel_name != "python" else None
-    if arrays is not None:
+    if kernel_name != "python":
         return _hk_pr_parallel_compiled(
-            get_kernels(kernel_name), arrays, seed_list, params, psi
+            get_kernels(kernel_name), graph, seed_list, params, psi
         )
     p = SparseVector()
     r = SparseVector.from_pairs(seed_list, 1.0 / len(seed_list))
@@ -226,15 +224,15 @@ def hk_pr_parallel(
 
 
 def _hk_pr_parallel_compiled(
-    kernels, arrays: tuple[np.ndarray, np.ndarray], seed_list: np.ndarray,
-    params: HKPRParams, psi: np.ndarray,
+    kernels, graph: CSRGraph, seed_list: np.ndarray, params: HKPRParams,
+    psi: np.ndarray,
 ) -> DiffusionResult:
     """:func:`hk_pr_parallel` through a compiled frontier kernel, replaying
     the numpy levels' ``record()`` calls, in order, from per-level counts."""
     n_taylor = params.taylor_degree
     scales = [_threshold_scale(params, psi, level) for level in range(n_taylor)]
     p_keys, p_values, levels, stats = kernels.hkpr_bsp(
-        arrays[0], arrays[1], seed_list, params.t, n_taylor, scales
+        graph.offsets, graph.neighbors, seed_list, params.t, n_taylor, scales
     )
     p_charges = TableCharges()
     r_charges = TableCharges(len(seed_list))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..kernels import csr_arrays, get_kernels, resolve_kernel
+from ..kernels import get_kernels, resolve_kernel
 from ..ligra import VertexSubset, charge_edge_map, edge_map, expand_by_degree, vertex_map
 from ..prims.hashtable import TableCharges
 from ..prims.sparse import SparseDict, SparseVector
@@ -109,16 +109,15 @@ def nibble_parallel(
 
     ``kernel`` selects the implementation (see :mod:`repro.kernels`): a
     compiled kernel runs the same steps over the raw CSR arrays and is
-    bit-identical to the numpy rounds below (``kernel="python"``, also
-    the path for graphs without whole-CSR arrays) — entry order, values,
-    counters, frontier sizes and the recorded work/depth profile.
+    bit-identical to the numpy rounds below (``kernel="python"``) — entry
+    order, values, counters, frontier sizes and the recorded work/depth
+    profile.
     """
     seed_list = seed_array(seeds, graph.num_vertices)
     kernel_name = resolve_kernel(kernel)
-    arrays = csr_arrays(graph) if kernel_name != "python" else None
-    if arrays is not None:
+    if kernel_name != "python":
         return _nibble_parallel_compiled(
-            get_kernels(kernel_name), arrays, seed_list, params
+            get_kernels(kernel_name), graph, seed_list, params
         )
     p = SparseVector.from_pairs(seed_list, 1.0 / len(seed_list))
     frontier = VertexSubset(seed_list)
@@ -170,13 +169,12 @@ def nibble_parallel(
 
 
 def _nibble_parallel_compiled(
-    kernels, arrays: tuple[np.ndarray, np.ndarray], seed_list: np.ndarray,
-    params: NibbleParams,
+    kernels, graph: CSRGraph, seed_list: np.ndarray, params: NibbleParams,
 ) -> DiffusionResult:
     """:func:`nibble_parallel` through a compiled frontier kernel, replaying
     the numpy steps' ``record()`` calls, in order, from per-step counts."""
     p_keys, p_values, stats = kernels.nibble_bsp(
-        arrays[0], arrays[1], seed_list, params.eps, params.max_iterations
+        graph.offsets, graph.neighbors, seed_list, params.eps, params.max_iterations
     )
     p_charges = TableCharges(len(seed_list))
     p_charges.insert(len(seed_list), len(seed_list))  # SparseVector.from_pairs

@@ -16,7 +16,7 @@ halves of the surface into frozen records with **one validation path**:
   and :meth:`ClusterRequest.validate` applies the full semantic checks —
   every failure a :class:`RequestError` naming the offending field.
 * :class:`EngineOptions` — *how to execute*: backend, workers,
-  start-method, schedule, kernel, cache, shard layout.  Every engine
+  start-method, schedule, kernel, cache, graph version.  Every engine
   entry point turns its loose keyword knobs (or its ``options=`` record)
   into one of these with :meth:`EngineOptions.coerce`; combining both
   spellings raises (the no-silently-ignored-knob rule).
@@ -66,7 +66,7 @@ WIRE_VERSION = 1
 
 #: engine backends constructible by name (``EngineOptions.backend`` also
 #: takes a prebuilt backend instance).
-BACKENDS = ("serial", "process", "sharded")
+BACKENDS = ("serial", "process")
 
 
 class RequestError(ValueError):
@@ -460,10 +460,6 @@ class ClusterRequest:
         )
 
 
-#: knobs that configure the in-process sharded backend.
-_SHARD_KNOBS = ("shards", "max_resident_shards", "spill_shards", "halo_bytes")
-
-
 @dataclass(frozen=True)
 class EngineOptions:
     """The engine's whole configuration as one frozen, validated record.
@@ -479,12 +475,11 @@ class EngineOptions:
     Fields
     ------
     backend:
-        ``"serial"``, ``"process"``, ``"sharded"``, a prebuilt backend
-        instance, or ``None`` to pick ``"sharded"`` when ``shards`` is
-        set, ``"process"`` when ``workers`` asks for more than one worker,
-        and ``"serial"`` otherwise.  A prebuilt instance already carries
-        its own pool and shard configuration, so setting ``workers``,
-        ``start_method``, ``schedule`` or a shard knob next to it raises.
+        ``"serial"``, ``"process"``, a prebuilt backend instance, or
+        ``None`` to pick ``"process"`` when ``workers`` asks for more than
+        one worker and ``"serial"`` otherwise.  A prebuilt instance
+        already carries its own pool configuration, so setting
+        ``workers``, ``start_method`` or ``schedule`` next to it raises.
     workers:
         Worker count for the process backend (default: all cores).
     parallel:
@@ -512,24 +507,6 @@ class EngineOptions:
         Dispatch policy of the process backend's pool: ``"cost"``
         (default; cost-ordered steal units, heaviest first) or ``"fifo"``
         (contiguous count-based chunks).
-    shards:
-        Partition the graph into this many contiguous vertex-range shards
-        and execute through the shard-routed backend
-        (:class:`repro.engine.router.ShardRouter`): each job runs on a
-        lazy view over the shard(s) owning its seeds, so the whole CSR
-        need not be resident.  Implies ``backend="sharded"``.
-    max_resident_shards:
-        With ``shards``: cap on shards mapped at once per executing view
-        (LRU detach beyond it) — the resident-graph-memory bound.
-    spill_shards:
-        With ``shards``: distinct-shards-per-job threshold beyond which a
-        diffusion falls back to whole-graph execution (results are
-        bit-identical either way).
-    halo_bytes:
-        With ``shards``: byte budget of each view's halo cache (hot
-        boundary-vertex adjacency rows served without attaching the
-        neighbour shard).  ``None`` keeps the default budget, ``0``
-        disables the cache.
     kernel:
         Default loop implementation for jobs that do not carry their own
         ``DiffusionJob.kernel`` (:mod:`repro.kernels`): ``None`` (keep the
@@ -543,10 +520,8 @@ class EngineOptions:
         after the chain advances raises a :class:`RequestError` (code
         409) instead of answering against stale edges.
 
-    The sharded backend is in-process, so pool knobs next to it raise;
-    shard knobs need the sharded backend; ``start_method`` and
-    ``schedule`` need the process backend.  Each conflict raises
-    ``ValueError`` rather than silently dropping a knob.
+    ``start_method`` and ``schedule`` need the process backend.  Each
+    conflict raises ``ValueError`` rather than silently dropping a knob.
 
     >>> EngineOptions.coerce(workers=4, schedule="fifo").resolved_backend()
     'process'
@@ -564,10 +539,6 @@ class EngineOptions:
     cache: Any = None
     start_method: str | None = None
     schedule: str | None = None
-    shards: int | None = None
-    max_resident_shards: int | None = None
-    spill_shards: int | None = None
-    halo_bytes: int | None = None
     kernel: str | None = None
     graph_version: int | None = None
 
@@ -596,8 +567,6 @@ class EngineOptions:
         """The backend after the inference described under ``backend``."""
         if self.backend is not None:
             return self.backend
-        if self.shards is not None:
-            return "sharded"
         return "process" if self.workers is not None and self.workers > 1 else "serial"
 
     def _set_knobs(self, names: Sequence[str]) -> list[str]:
@@ -610,15 +579,15 @@ class EngineOptions:
         """The one structural validation path for the knob surface.
 
         Raises ``ValueError`` on unknown backends, knobs next to a prebuilt
-        backend, shard knobs without the sharded backend, pool knobs
-        without the process backend, unknown schedule names, and
+        backend, pool knobs without the process backend, unknown schedule
+        names, and
         unknown/unavailable kernels.  Returns ``self``.
         """
         from ..engine.executor import PoolBackend
 
         backend = self.resolved_backend()
         if isinstance(backend, PoolBackend):
-            built = self._set_knobs(("workers", "start_method", "schedule", *_SHARD_KNOBS))
+            built = self._set_knobs(("workers", "start_method", "schedule"))
             if built:
                 raise ValueError(
                     f"backend is already constructed; {', '.join(built)} "
@@ -627,24 +596,9 @@ class EngineOptions:
                 )
         elif backend not in BACKENDS:
             raise ValueError(
-                f"unknown backend {backend!r}; expected 'serial', 'process', "
-                "'sharded' or a backend instance"
+                f"unknown backend {backend!r}; expected 'serial', 'process' "
+                "or a backend instance"
             )
-        shard_knobs = self._set_knobs(_SHARD_KNOBS)
-        if backend in ("serial", "process") and shard_knobs:
-            verb = "requires" if len(shard_knobs) == 1 else "require"
-            raise ValueError(
-                f"{', '.join(shard_knobs)} {verb} shards: shard knobs only apply "
-                f"to the sharded backend, not backend={backend!r}"
-            )
-        if backend == "sharded":
-            conflicts = self._set_knobs(("workers", "start_method", "schedule"))
-            if conflicts:
-                raise ValueError(
-                    "the sharded backend is in-process; it is incompatible with "
-                    f"{', '.join(conflicts)}, which would configure a process "
-                    "pool and be silently ignored"
-                )
         if backend == "serial":
             pool_knobs = self._set_knobs(("start_method", "schedule"))
             if pool_knobs:

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..kernels import csr_arrays, get_kernels, resolve_kernel
+from ..kernels import get_kernels, resolve_kernel
 from ..ligra import VertexSubset, charge_edge_map, edge_map, expand_by_degree, vertex_map
 from ..prims.hashtable import TableCharges
 from ..prims.sparse import SparseDict, SparseVector
@@ -116,18 +116,16 @@ def pr_nibble_sequential(
     :mod:`repro.kernels`): a compiled kernel runs the identical loop over
     the raw CSR arrays and is bit-identical to ``kernel="python"`` —
     including sparse-vector entry order, push counts, and the recorded
-    work profile.  Graphs without whole-CSR arrays (shard views) always
-    take the Python path.
+    work profile.
     """
     seed_list = seed_array(seeds, graph.num_vertices)
     alpha = params.alpha
     eps = params.eps
     kernel_name = resolve_kernel(kernel)
-    arrays = csr_arrays(graph) if kernel_name != "python" else None
-    if arrays is not None:
+    if kernel_name != "python":
         p_keys, p_values, r_keys, r_values, pushes, touched_edges = get_kernels(
             kernel_name
-        ).ppr_push(arrays[0], arrays[1], seed_list, alpha, eps, params.optimized)
+        ).ppr_push(graph.offsets, graph.neighbors, seed_list, alpha, eps, params.optimized)
         p = SparseDict(dict(zip(p_keys.tolist(), p_values.tolist())))
         r = SparseDict(dict(zip(r_keys.tolist(), r_values.tolist())))
         record(work=float(touched_edges + 2 * pushes), depth=0.0, category="sequential")
@@ -215,17 +213,14 @@ def pr_nibble_parallel(
     compiled kernel runs the same rounds over the raw CSR arrays and is
     bit-identical to the numpy rounds below (``kernel="python"``) — entry
     order, values, ``residual_mass``, counters, frontier sizes and the
-    recorded work/depth profile.  The numpy rounds also serve graphs
-    without whole-CSR arrays (shard views) and ``beta < 1``.
+    recorded work/depth profile.  The numpy rounds also serve
+    ``beta < 1``.
     """
     seed_list = seed_array(seeds, graph.num_vertices)
     kernel_name = resolve_kernel(kernel)
-    arrays = (
-        csr_arrays(graph) if kernel_name != "python" and params.beta == 1.0 else None
-    )
-    if arrays is not None:
+    if kernel_name != "python" and params.beta == 1.0:
         return _pr_nibble_parallel_compiled(
-            get_kernels(kernel_name), arrays, seed_list, params
+            get_kernels(kernel_name), graph, seed_list, params
         )
     alpha = params.alpha
     eps = params.eps
@@ -312,8 +307,7 @@ def pr_nibble_parallel(
 
 
 def _pr_nibble_parallel_compiled(
-    kernels, arrays: tuple[np.ndarray, np.ndarray], seed_list: np.ndarray,
-    params: PRNibbleParams,
+    kernels, graph: CSRGraph, seed_list: np.ndarray, params: PRNibbleParams,
 ) -> DiffusionResult:
     """:func:`pr_nibble_parallel` through a compiled frontier kernel.
 
@@ -323,7 +317,7 @@ def _pr_nibble_parallel_compiled(
     depth, per-category split and round count match.
     """
     p_keys, p_values, r_keys, r_values, stats = kernels.ppr_bsp(
-        arrays[0], arrays[1], seed_list,
+        graph.offsets, graph.neighbors, seed_list,
         params.alpha, params.eps, params.optimized, params.max_iterations,
     )
     p_charges = TableCharges()

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..kernels import csr_arrays, get_kernels, resolve_kernel
+from ..kernels import get_kernels, resolve_kernel
 from ..prims.compact import pack_index
 from ..prims.hashtable import IntFloatHashTable, TableCharges
 from ..prims.sort import charge_integer_sort, integer_sort_order
@@ -184,17 +184,15 @@ def rand_hk_pr_parallel(
     :func:`aggregate_by_sort`, recording the same work/depth.  The uniform
     draws stay in this wrapper — between the filter (which fixes how many
     are drawn) and the advance — so the rng stream, and therefore every
-    walk, is bit-identical to the numpy path.  Graphs without whole-CSR
-    arrays (shard views) and ``aggregation="fetch_add"`` take the numpy
-    path.
+    walk, is bit-identical to the numpy path.  ``aggregation="fetch_add"``
+    takes the numpy path.
     """
     if aggregation not in ("sort", "fetch_add"):
         raise ValueError("aggregation must be 'sort' or 'fetch_add'")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     seed_list = seed_array(seeds, graph.num_vertices)
     kernel_name = resolve_kernel(kernel)
-    arrays = csr_arrays(graph) if kernel_name != "python" else None
-    kernels = get_kernels(kernel_name) if arrays is not None else None
+    kernels = get_kernels(kernel_name) if kernel_name != "python" else None
     lengths = sample_walk_lengths(rng, params)
     current = seed_list[rng.integers(len(seed_list), size=params.num_walks)].copy()
     steps = 0
@@ -203,12 +201,13 @@ def rand_hk_pr_parallel(
         if len(active) == 0:
             break
         if kernels is not None:
-            offsets, neighbors = arrays
-            active, vertices = kernels.walk_filter(offsets, current, active)
+            active, vertices = kernels.walk_filter(graph.offsets, current, active)
             if len(active) == 0:
                 break
             uniforms = rng.random(len(active))
-            kernels.walk_advance(offsets, neighbors, current, active, vertices, uniforms)
+            kernels.walk_advance(
+                graph.offsets, graph.neighbors, current, active, vertices, uniforms
+            )
         else:
             vertices = current[active]
             degrees = graph.degrees(vertices)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..kernels import csr_arrays, get_kernels, resolve_kernel
+from ..kernels import get_kernels, resolve_kernel
 from ..ligra import charge_gather
 from ..prims.compact import pack_index
 from ..prims.hashtable import IntFloatHashTable, TableCharges
@@ -92,10 +92,9 @@ def sweep_cut_sequential(graph: CSRGraph, vector, kernel: str | None = None) -> 
         raise ValueError("sweep cut needs at least one vertex with positive mass")
     total_volume = graph.total_volume
     kernel_name = resolve_kernel(kernel)
-    arrays = csr_arrays(graph) if kernel_name != "python" else None
-    if arrays is not None:
+    if kernel_name != "python":
         volumes, cuts = get_kernels(kernel_name).sweep_scan(
-            arrays[0], arrays[1], ordered, degrees
+            graph.offsets, graph.neighbors, ordered, degrees
         )
         vol = int(volumes[-1])
     else:
@@ -141,18 +140,16 @@ def sweep_cut_parallel(graph: CSRGraph, vector, kernel: str | None = None) -> Sw
     ``kernel`` selects how steps 2-5 run (:mod:`repro.kernels`).  They are
     all-integer, so a compiled kernel takes the volumes and cuts from the
     membership scan (``sweep_scan``), which yields the same arrays, and
-    records the same work/depth as the numpy steps (``kernel="python"``,
-    also the path for graphs without whole-CSR arrays).
+    records the same work/depth as the numpy steps (``kernel="python"``).
     """
     ordered, degrees = sweep_order(graph, vector)
     n = len(ordered)
     if n == 0:
         raise ValueError("sweep cut needs at least one vertex with positive mass")
     kernel_name = resolve_kernel(kernel)
-    arrays = csr_arrays(graph) if kernel_name != "python" else None
-    if arrays is not None:
+    if kernel_name != "python":
         volumes, cuts = get_kernels(kernel_name).sweep_scan(
-            arrays[0], arrays[1], ordered, degrees
+            graph.offsets, graph.neighbors, ordered, degrees
         )
         _charge_prefix_steps(n, int(volumes[-1]))
     else:

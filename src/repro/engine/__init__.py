@@ -43,7 +43,6 @@ from .executor import (
     run_job,
 )
 from .jobs import DiffusionJob, job_grid
-from .router import RouterSession, RouterStats, ShardRouter, plan_placement
 from .scheduler import (
     KERNEL_COST_SCALE,
     SCHEDULES,
@@ -77,10 +76,6 @@ __all__ = [
     "run_job",
     "DiffusionJob",
     "job_grid",
-    "RouterSession",
-    "RouterStats",
-    "ShardRouter",
-    "plan_placement",
     "KERNEL_COST_SCALE",
     "SCHEDULES",
     "chunk_costs",

@@ -412,8 +412,7 @@ class ExecutionSession:
     one batch of outcomes in job order against the same prepared
     environment.  The base implementation has nothing to prepare — it is
     the in-process loop, so :class:`SerialBackend` sessions are just that
-    loop with a close guard.  :class:`PoolSession` and
-    :class:`~repro.engine.router.RouterSession` override ``_run``;
+    loop with a close guard.  :class:`PoolSession` overrides ``_run``;
     :class:`~repro.cache.CachingSession` overrides ``_dispatch`` so that
     only misses are dispatched.
 
@@ -453,7 +452,7 @@ class ExecutionSession:
         if self._closed:
             raise RuntimeError("session is closed")
         if self._tracking is not None:
-            self._tracking._check_fresh(self)
+            self._tracking._check_fresh()
         return self._dispatch(_with_kernel(jobs, self._kernel))
 
     def _dispatch(self, jobs: Sequence[DiffusionJob]) -> Iterator[JobOutcome]:
@@ -823,7 +822,7 @@ class BatchEngine:
     **knobs:
         The same configuration as loose keywords — ``workers``,
         ``parallel``, ``include_vectors``, ``cache``, ``start_method``,
-        ``schedule``, the shard knobs, ``kernel``, ``graph_version``.
+        ``schedule``, ``kernel``, ``graph_version``.
         :class:`~repro.core.options.EngineOptions` documents each one.
         Setting any of them next to ``options`` raises ``ValueError``.
 
@@ -832,7 +831,10 @@ class BatchEngine:
     dispatch raises a :class:`~repro.core.options.RequestError` (code
     409) naming both versions instead of silently answering against stale
     edges.  Recover with :meth:`at_version` (shares this engine's backend
-    and cache).
+    and cache).  An evolving engine stores its :class:`GraphVersion`, not
+    the CSR: :attr:`graph` resolves through the version when a session
+    opens, so an engine never keeps a version's CSR alive after the chain
+    has dropped it.
 
     >>> from repro.graph import barbell_graph
     >>> from repro.engine import BatchEngine, DiffusionJob
@@ -859,7 +861,7 @@ class BatchEngine:
                 None if options.graph_version is None else int(options.graph_version)
             )
             self.version: "GraphVersion | None" = graph.at(self.graph_version)
-            self.graph = self.version.graph
+            self._graph: "CSRGraph | None" = None
         else:
             if options.graph_version is not None:
                 raise ValueError(
@@ -869,22 +871,13 @@ class BatchEngine:
             self.evolving = None
             self.graph_version = None
             self.version = None
-            self.graph = graph
+            self._graph = graph
         self.parallel = options.parallel
         self.include_vectors = options.include_vectors
         self.kernel = options.kernel
         chosen = options.resolved_backend()
-        if chosen == "sharded":
-            from .router import ShardRouter
-
-            self.backend: PoolBackend = ShardRouter(
-                shards=options.shards if options.shards is not None else 4,
-                max_resident_shards=options.max_resident_shards,
-                spill_shards=options.spill_shards,
-                halo_bytes=options.halo_bytes,
-            )
-        elif chosen == "serial":
-            self.backend = SerialBackend()
+        if chosen == "serial":
+            self.backend: PoolBackend = SerialBackend()
         elif chosen == "process":
             self.backend = ProcessPoolBackend(
                 workers=options.workers,
@@ -896,6 +889,11 @@ class BatchEngine:
         cache = resolve_cache(options.cache)
         if cache is not None and not isinstance(self.backend, CachingBackend):
             self.backend = CachingBackend(self.backend, cache)
+
+    @property
+    def graph(self) -> CSRGraph:
+        """The CSR this engine executes against (its version's, if evolving)."""
+        return self._graph if self.version is None else self.version.graph
 
     @property
     def workers(self) -> int:
@@ -920,21 +918,18 @@ class BatchEngine:
     @property
     def cost_model(self) -> "CostModel | None":
         """The backend's online cost calibration, or ``None`` for
-        backends that do not own one (serial, sharded)."""
+        backends that do not own one (serial)."""
         return getattr(self._inner_backend, "cost_model", None)
 
-    def _check_fresh(self, session: ExecutionSession | None = None) -> None:
+    def _check_fresh(self) -> None:
         """Raise when a *tracking* engine's evolving graph has advanced.
 
         Pinned engines (explicit ``graph_version=``) and plain-graph
         engines never raise.  The error is a
         :class:`~repro.core.options.RequestError` with code 409
         ("conflict": the request was well-formed but the bound state
-        moved) naming both versions — and, for sharded execution, the
-        fingerprint stamped on the stale
-        :class:`~repro.graph.sharded.ShardedCSRHandle` of ``session`` —
-        so callers can tell *which* superseded edge set they were about to
-        read.
+        moved) naming both versions and their fingerprints, so callers
+        can tell *which* superseded edge set they were about to read.
         """
         if self.evolving is None or self.graph_version is not None:
             return
@@ -944,23 +939,14 @@ class BatchEngine:
             return
         from ..core.options import RequestError
 
-        detail = (
+        raise RequestError(
+            "graph_version",
             f"engine tracks the evolving graph but is bound to version "
             f"{self.version.version} (fingerprint {self.version.fingerprint()[:12]}); "
             f"the chain has advanced to version {latest.version} "
-            f"(fingerprint {latest.fingerprint()[:12]})"
-        )
-        sharded = getattr(session, "sharded", None)
-        if sharded is not None:
-            detail += (
-                "; the sharded export's handle is stamped "
-                f"{sharded.handle().fingerprint[:12]}"
-            )
-        raise RequestError(
-            "graph_version",
-            detail
-            + ". Rebuild with engine.at_version(...) or pin graph_version= "
-            "to keep answering against the old edges.",
+            f"(fingerprint {latest.fingerprint()[:12]}). Rebuild with "
+            "engine.at_version(...) or pin graph_version= to keep answering "
+            "against the old edges.",
             code=409,
         )
 

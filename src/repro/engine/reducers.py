@@ -133,7 +133,7 @@ class BatchStats:
     (per-worker busy/idle seconds and steal counts, as
     ``DispatchStats.describe()``) and the online cost model's per-key
     seconds-per-work-unit snapshot.  ``None`` for backends without a
-    pool (serial, sharded).
+    pool (serial).
     """
 
     jobs: int = 0

@@ -45,14 +45,6 @@ from .io import (
 )
 from .proxies import PROXIES, ProxySpec, default_scale, load_proxy, proxy_names
 from .shared import SharedCSR, SharedCSRHandle
-from .sharded import (
-    ShardMap,
-    ShardSpill,
-    ShardedCSR,
-    ShardedCSRHandle,
-    ShardedGraphView,
-    plan_boundaries,
-)
 
 __all__ = [
     "CSRGraph",
@@ -95,10 +87,4 @@ __all__ = [
     "proxy_names",
     "SharedCSR",
     "SharedCSRHandle",
-    "ShardMap",
-    "ShardSpill",
-    "ShardedCSR",
-    "ShardedCSRHandle",
-    "ShardedGraphView",
-    "plan_boundaries",
 ]

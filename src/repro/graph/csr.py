@@ -216,12 +216,7 @@ class CSRGraph:
         return int(self.degrees(np.asarray(vertices, dtype=np.int64)).sum())
 
     def neighbor_at(self, vertices: np.ndarray, pick: np.ndarray) -> np.ndarray:
-        """The ``pick``-th neighbor of each vertex (vectorised walk step).
-
-        Every graph read the algorithms perform goes through a method —
-        never raw ``offsets``/``neighbors`` indexing — so the sharded view
-        (:mod:`repro.graph.sharded`) can answer it per shard.
-        """
+        """The ``pick``-th neighbor of each vertex (vectorised walk step)."""
         vertices = np.asarray(vertices, dtype=np.int64)
         pick = np.asarray(pick, dtype=np.int64)
         return self.neighbors[self.offsets[vertices] + pick]

@@ -1,7 +1,7 @@
 """Evolving-graph plane: immutable versions over batched edge updates.
 
 Production graphs mutate under traffic, but every execution plane (engine,
-cache, shards, serving) assumes one frozen :class:`~repro.graph.csr.CSRGraph`.
+cache, serving) assumes one frozen :class:`~repro.graph.csr.CSRGraph`.
 This module reconciles the two: an update batch (edge insertions and
 deletions) produces a **new immutable version** rather than mutating in
 place, so every existing invariant — content fingerprints as cache
@@ -202,7 +202,7 @@ class GraphVersion:
     """One immutable version of an evolving graph.
 
     ``graph`` is a plain canonical :class:`~repro.graph.csr.CSRGraph` —
-    every downstream plane (kernels, shared memory, sharding, caching)
+    every downstream plane (kernels, shared memory, caching)
     consumes it unchanged.  ``touched`` is the sorted vertex set whose
     adjacency differs from ``parent``; ``insert`` and ``delete`` are the
     batch's *effective* changes (``(k, 2)`` arrays of ``u < v`` pairs);

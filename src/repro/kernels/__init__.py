@@ -26,11 +26,10 @@ Backends
     degrading silently to ``"python"`` when it is not.
 
 Every kernel operates on raw CSR arrays (``offsets``/``neighbors``), so
-compiled execution composes with :class:`repro.graph.shared.SharedCSR`
-zero-copy attach for free; :class:`repro.graph.sharded.ShardedGraphView`
-exposes no whole-graph arrays (:func:`csr_arrays` returns ``None``), so
-jobs running on shard views escalate to the Python path — bit-identical
-either way.  PR-Nibble's ``beta < 1`` variant, rand-HK-PR's
+compiled execution composes for free with
+:class:`repro.graph.shared.SharedCSR` zero-copy attach and with a
+:class:`~repro.graph.csr.CSRGraph` over memory-mapped ``.npy`` files.
+PR-Nibble's ``beta < 1`` variant, rand-HK-PR's
 ``aggregation="fetch_add"`` and the sequential Nibble, HK-PR and
 rand-HK-PR loops have no compiled twin and run the reference code.
 Recorded work/depth profiles and cache keys are identical across
@@ -68,8 +67,6 @@ from __future__ import annotations
 import time
 from typing import Any
 
-import numpy as np
-
 from . import reference
 
 __all__ = [
@@ -78,7 +75,6 @@ __all__ = [
     "available_kernels",
     "resolve_kernel",
     "get_kernels",
-    "csr_arrays",
     "ensure_warm",
 ]
 
@@ -184,23 +180,6 @@ def get_kernels(kernel: str | None) -> Any:
     the frontier kernels (``ppr_bsp``/``nibble_bsp``/``hkpr_bsp``) and
     ``endpoint_count`` on the compiled one."""
     return _load(resolve_kernel(kernel))
-
-
-def csr_arrays(graph: Any) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(offsets, neighbors)`` when ``graph`` exposes whole-graph CSR
-    arrays, else ``None``.
-
-    Duck-typed on purpose: a :class:`repro.graph.CSRGraph` (including one
-    attached zero-copy from shared memory) qualifies; a
-    :class:`repro.graph.sharded.ShardedGraphView` does not — its shards
-    may not be resident — so shard-routed jobs escalate to the Python
-    path instead of faulting the whole CSR in.
-    """
-    offsets = getattr(graph, "offsets", None)
-    neighbors = getattr(graph, "neighbors", None)
-    if isinstance(offsets, np.ndarray) and isinstance(neighbors, np.ndarray):
-        return offsets, neighbors
-    return None
 
 
 def ensure_warm(kernel: str | None) -> float:

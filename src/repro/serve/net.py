@@ -1,7 +1,7 @@
 """The network serving plane: an asyncio wire in front of `DiffusionService`.
 
 Everything below the socket already existed — batched engine, shared-
-memory pools, shards, compiled kernels, the micro-batching
+memory pools, compiled kernels, the micro-batching
 :class:`~repro.serve.service.DiffusionService` — but clients had to share
 a process.  :class:`DiffusionServer` puts a real transport on top,
 stdlib-only, speaking two framings of the **same codec**
@@ -499,7 +499,7 @@ class DiffusionServer:
                 raise RequestError(
                     None, "server is draining; no further requests", code=503
                 )
-            request.validate(num_vertices=self.service.engine.graph.num_vertices)
+            request.validate(num_vertices=self.service.num_vertices)
             if len(client.pending) >= self.max_pending:
                 raise RequestError(
                     None,

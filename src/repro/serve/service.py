@@ -164,14 +164,12 @@ class DiffusionService:
     options, **knobs:
         The engine configuration, as one
         :class:`~repro.core.options.EngineOptions` record or as its loose
-        keywords (``workers``, ``cache``, ``shards``, ``kernel``, ...);
-        that class documents each knob.  With ``shards=`` the service
-        executes through the shard-routed backend, so a memory-capped
-        process serves the graph with only each query's shard(s)
-        resident.  With an :class:`~repro.graph.evolving.EvolvingGraph`,
-        ``graph_version=`` serves that version by default instead of
-        following the chain's latest; requests may still pin any existing
-        version explicitly, and ``update()`` keeps working.
+        keywords (``workers``, ``cache``, ``kernel``, ...); that class
+        documents each knob.  With an
+        :class:`~repro.graph.evolving.EvolvingGraph`, ``graph_version=``
+        serves that version by default instead of following the chain's
+        latest; requests may still pin any existing version explicitly,
+        and ``update()`` keeps working.
     max_batch:
         Most jobs one micro-batch may carry (default 32).  A batch is
         whatever was queued while the previous batch ran, up to this
@@ -216,6 +214,11 @@ class DiffusionService:
         self.stats = ServiceStats()
         #: the version chain being served, or ``None`` for a static graph.
         self.evolving: "EvolvingGraph | None" = self.engine.evolving
+        #: what every submission's seeds are checked against; updates never
+        #: add vertices, so no request has to resolve a version's CSR.
+        self.num_vertices: int = (
+            self.engine.graph if self.evolving is None else self.evolving
+        ).num_vertices
         # Admission costs calibrate online.  A pool backend owns a model
         # (its session observes every outcome); pool-less backends get a
         # service-owned one fed from _resolve, so `max_batch_cost` tracks
@@ -239,7 +242,10 @@ class DiffusionService:
     # ------------------------------------------------------------------
     @property
     def graph(self) -> "CSRGraph":
-        return self.engine.graph
+        """The CSR a query admitted now runs against."""
+        if self.evolving is None:
+            return self.engine.graph
+        return self.evolving.at(self._admit_version(None)).graph
 
     @property
     def session(self) -> ExecutionSession | None:
@@ -497,7 +503,7 @@ class DiffusionService:
         (``KernelUnavailableError`` keeps its actionable message, carried
         under the ``kernel`` field)."""
         ClusterRequest.from_job(job, priority=priority).validate(
-            num_vertices=self.engine.graph.num_vertices
+            num_vertices=self.num_vertices
         )
 
     def _admit_version(self, graph_version: int | None) -> int | None:

@@ -78,41 +78,6 @@ class TestBatchedRun:
         assert run.stats.jobs == 2
 
 
-class TestServeAndReportLifecycle:
-    def test_view_closed_when_a_job_raises(self, monkeypatch):
-        """Regression (invariant `resource-lifecycle`): a probe job that
-        raises must still tear down the sharded view — the close used to
-        be straight-line after the job loops, so an exception leaked the
-        attached shard segments for the rest of the child's lifetime."""
-        import repro.engine.executor as executor
-        from repro.bench.memory import serve_and_report
-        from repro.graph import barbell_graph
-        from repro.graph.sharded import ShardedCSR, ShardedGraphView
-
-        closes = []
-        original_close = ShardedGraphView.close
-
-        def spying_close(self):
-            closes.append(True)
-            return original_close(self)
-
-        def exploding_run_job(*args, **kwargs):
-            raise RuntimeError("job exploded mid-probe")
-
-        monkeypatch.setattr(ShardedGraphView, "close", spying_close)
-        monkeypatch.setattr(executor, "run_job", exploding_run_job)
-        with ShardedCSR.create(barbell_graph(8), shards=2) as sharded:
-            with pytest.raises(RuntimeError, match="job exploded"):
-                serve_and_report(
-                    "sharded",
-                    sharded.handle(),
-                    [object()],
-                    max_resident=1,
-                    halo_bytes=0,
-                )
-        assert closes, "view leaked: close() never ran on the failure path"
-
-
 class TestFormatting:
     def test_format_table_alignment(self):
         table = format_table(["name", "value"], [["x", 1.23456], ["longer", 2]], title="T")

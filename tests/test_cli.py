@@ -192,49 +192,6 @@ class TestBatchCommand:
         assert "batch: 3 jobs" in capsys.readouterr().out
 
 
-class TestShardFlags:
-    def _graph(self, tmp_path):
-        path = tmp_path / "fig1.npz"
-        save_npz(paper_figure1_graph(), path)
-        return path
-
-    def test_batch_sharded_matches_serial(self, tmp_path):
-        path = self._graph(tmp_path)
-        serial, sharded = tmp_path / "serial.csv", tmp_path / "sharded.csv"
-        base = ["--seed", "0", "--seed", "5", "--param", "eps=1e-4"]
-        assert main(["batch", str(path), str(serial), *base]) == 0
-        assert (
-            main(
-                ["batch", str(path), str(sharded), *base,
-                 "--shards", "2", "--max-resident-shards", "1"]
-            )
-            == 0
-        )
-
-        def stable(text):  # drop the per-job seconds column
-            return [line.rsplit(",", 1)[0] for line in text.splitlines()]
-
-        assert stable(serial.read_text()) == stable(sharded.read_text())
-
-    def test_shard_tuning_flags_require_shards(self, tmp_path):
-        path = self._graph(tmp_path)
-        out = tmp_path / "batch.csv"
-        with pytest.raises(SystemExit, match="--max-resident-shards requires --shards"):
-            main(["batch", str(path), str(out), "--seed", "0",
-                  "--max-resident-shards", "2"])
-        with pytest.raises(SystemExit, match="--spill-shards requires --shards"):
-            main(["serve", str(path), "--spill-shards", "2"])
-
-    def test_shards_conflicts_with_pool_flags(self, tmp_path):
-        path = self._graph(tmp_path)
-        out = tmp_path / "batch.csv"
-        with pytest.raises(SystemExit, match="incompatible with --workers"):
-            main(["batch", str(path), str(out), "--seed", "0",
-                  "--shards", "2", "--workers", "4"])
-        with pytest.raises(SystemExit, match="--start-method"):
-            main(["serve", str(path), "--shards", "2", "--start-method", "spawn"])
-
-
 class TestNcpWorkers:
     def test_ncp_workers_identical_csv(self, tmp_path, monkeypatch, forced_pool):
         monkeypatch.setenv("REPRO_SCALE", "0.1")

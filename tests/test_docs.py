@@ -29,7 +29,7 @@ class TestRepoDocs:
 
     def test_doc_set_includes_the_new_guides(self):
         files = {path.name for path in check_docs.gather_default_files()}
-        assert {"README.md", "index.md", "architecture.md", "sharding.md",
+        assert {"README.md", "index.md", "architecture.md", "evolving.md",
                 "serving.md"} <= files
 
 

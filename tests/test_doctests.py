@@ -1,6 +1,6 @@
 """Execute the runnable examples embedded in module docstrings.
 
-The newest planes (serving, scheduler, shared-memory and sharded graph)
+The newest planes (serving, scheduler, shared-memory graph, evolving graph)
 document themselves with small executable examples; this hook runs them
 as part of tier-1 so a drifting API breaks the docs loudly instead of
 silently.  Each listed module must contain at least one example — an
@@ -20,7 +20,6 @@ import repro.engine
 import repro.engine.scheduler
 import repro.graph.evolving
 import repro.graph.shared
-import repro.graph.sharded
 import repro.kernels
 import repro.prims.scan
 import repro.serve.service
@@ -32,7 +31,6 @@ MODULES = [
     repro.engine.scheduler,
     repro.graph.evolving,
     repro.graph.shared,
-    repro.graph.sharded,
     repro.kernels,
     repro.prims.scan,
     repro.serve.service,

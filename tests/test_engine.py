@@ -583,8 +583,6 @@ class TestSharedCodePaths:
             ExecutionSession,
             PoolBackend,
             PoolSession,
-            RouterSession,
-            ShardRouter,
         )
 
         assert issubclass(SerialBackend, PoolBackend)
@@ -594,9 +592,9 @@ class TestSharedCodePaths:
         # overrides it, and no session type overrides run (where the
         # engine's kernel default and freshness check live).
         assert SerialBackend.open_session is PoolBackend.open_session
-        for backend in (SerialBackend, ProcessPoolBackend, ShardRouter, CachingBackend):
+        for backend in (SerialBackend, ProcessPoolBackend, CachingBackend):
             assert backend.stream is PoolBackend.stream
-        for session in (PoolSession, RouterSession, CachingSession):
+        for session in (PoolSession, CachingSession):
             assert issubclass(session, ExecutionSession)
             assert session.run is ExecutionSession.run
 

@@ -2,11 +2,10 @@
 
 Covers the version chain itself (:mod:`repro.graph.evolving`), the
 engine's tracking-vs-pinned semantics (``graph_version=`` and the
-session staleness guard, including the sharded-handle regression), and
-the region-aware cross-version cache migration
-(:func:`repro.cache.advance_version`).  The
-differential properties — incremental ≡ cold across kernels, backends
-and shard counts — live in ``test_evolving_differential.py``.
+session staleness guard), and the region-aware cross-version cache
+migration (:func:`repro.cache.advance_version`).  The differential
+properties — incremental ≡ cold across kernels and backends — live in
+``test_evolving_differential.py``.
 """
 
 from __future__ import annotations
@@ -219,13 +218,11 @@ class TestEngineVersioning:
             chain.apply_updates(insertions=[(0, 5)])
             assert list(session.run([DiffusionJob.make(0)]))
 
-    def test_stale_sharded_handle_named_in_error(self, planted):
-        # Regression (satellite of the evolving plane): a sharded session
-        # pins a shared-memory export stamped with the base fingerprint;
-        # after apply_updates the guard must name that stale handle rather
-        # than let the router keep reading the superseded partition.
+    def test_stale_fingerprint_named_in_error(self, planted):
+        # After apply_updates the guard must name the superseded edge set
+        # the session was about to read, and say how to recover.
         chain = EvolvingGraph(planted)
-        engine = BatchEngine(chain, shards=2)
+        engine = BatchEngine(chain)
         with engine.open_session() as session:
             assert list(session.run([DiffusionJob.make(0)]))
             stale_fingerprint = chain.at(0).fingerprint()
@@ -235,7 +232,6 @@ class TestEngineVersioning:
         error = excinfo.value
         assert error.code == 409
         message = str(error)
-        assert "sharded export's handle" in message
         assert stale_fingerprint[:12] in message
         assert "at_version" in message  # remediation hint
 

@@ -19,8 +19,8 @@ random base graphs plus random insert/delete batches — and checks:
 * cache entries migrated across a version are *never stale*: any hit
   served on the new version equals a cold recompute bit-for-bit;
 * post-splice CSR arrays are first-class citizens of every execution
-  plane: serial, process-pool and sharded backends (and every compiled
-  kernel available) produce identical outcomes on an updated version.
+  plane: serial and process-pool backends (and every compiled kernel
+  available) produce identical outcomes on an updated version.
 """
 
 from __future__ import annotations
@@ -219,12 +219,6 @@ class TestUpdatedVersionAcrossPlanes:
             self.outcomes_equal(engine.run(self.jobs()), serial)
         finally:
             engine.backend.close() if hasattr(engine.backend, "close") else None
-
-    @pytest.mark.parametrize("shards", [2, 3])
-    def test_sharded_backend_matches_serial(self, reference, shards):
-        chain, serial = reference
-        engine = BatchEngine(chain, shards=shards, include_vectors=True)
-        self.outcomes_equal(engine.run(self.jobs()), serial)
 
     @pytest.mark.parametrize(
         "kernel",

@@ -258,13 +258,21 @@ def new_edges(graph, count, seed):
 
 
 class TestRetention:
-    def test_fifty_updates_keep_three_graphs_alive(self, base_graph):
+    @pytest.mark.parametrize("prior", [0, 5])
+    def test_fifty_updates_keep_three_graphs_alive(self, base_graph, prior):
         # The chain keeps CSRs for the root, the latest version and its
         # parent; the service keeps at most two sessions and no per-version
-        # engines, so nothing else may pin an old version's graph.
+        # engines, so nothing else may pin an old version's graph — not
+        # even the version the service was built at (``prior`` updates in).
         chain = EvolvingGraph(base_graph)
         edges = new_edges(base_graph, 100, seed=3)
+        earlier = new_edges(base_graph, 2 * prior, seed=4)
+        assert not set(earlier) & set(edges)
         graphs = [weakref.ref(chain.at(0).graph)]
+        for round_ in range(prior):
+            version = chain.apply_updates(insertions=earlier[2 * round_ : 2 * round_ + 2])
+            graphs.append(weakref.ref(version.graph))
+            del version
 
         async def scenario():
             async with DiffusionService(chain, cache=True) as service:
@@ -281,7 +289,7 @@ class TestRetention:
                 return [k for k, ref in enumerate(graphs) if ref() is not None]
 
         alive = asyncio.run(scenario())
-        assert alive == [0, 49, 50]
+        assert alive == [0, prior + 49, prior + 50]
 
     def test_dropped_version_replays_identically_and_answers(self, base_graph):
         # Small batches splice; every third batch is large enough to rebuild.

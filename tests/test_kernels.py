@@ -25,12 +25,11 @@ from repro.engine.scheduler import (
     kernel_cost_scale,
     resolved_kernel_name,
 )
-from repro.graph import CSRGraph, ShardedCSR, barbell_graph
+from repro.graph import CSRGraph, barbell_graph
 from repro.kernels import (
     KERNELS,
     KernelUnavailableError,
     available_kernels,
-    csr_arrays,
     ensure_warm,
     get_kernels,
     resolve_kernel,
@@ -101,25 +100,6 @@ class TestResolveKernel:
             else:
                 with pytest.raises(KernelUnavailableError):
                     resolve_kernel(name)
-
-
-class TestCSRArrays:
-    def test_csr_graph_exposes_arrays(self):
-        graph = barbell_graph(6)
-        arrays = csr_arrays(graph)
-        assert arrays is not None
-        offsets, neighbors = arrays
-        assert offsets is graph.offsets and neighbors is graph.neighbors
-
-    def test_shard_view_escalates_to_python(self):
-        graph = barbell_graph(6)
-        with ShardedCSR.create(graph, shards=2) as sharded:
-            with sharded.view() as view:
-                assert csr_arrays(view) is None
-
-    def test_non_graph_objects_return_none(self):
-        assert csr_arrays(object()) is None
-        assert csr_arrays(None) is None
 
 
 class TestEnsureWarm:
@@ -380,14 +360,18 @@ class TestKnobSurfaces:
 
 class TestGraphIntegration:
     def test_kernels_see_shared_memory_graphs(self):
-        # A zero-copy attached graph exposes ndarray offsets/neighbors, so
-        # compiled kernels engage on it exactly as on the original.
+        # A zero-copy attached graph is a plain CSRGraph over the segments,
+        # so the default kernel runs on it exactly as on the original.
+        from repro.core import PRNibbleParams, pr_nibble
         from repro.graph.shared import SharedCSR
 
         graph = barbell_graph(8)
+        params = PRNibbleParams(alpha=0.1, eps=1e-5)
+        want = pr_nibble(graph, 0, params)
         with graph.share() as shared:
             with SharedCSR.attach(shared.handle()) as attached:
                 assert isinstance(attached.graph, CSRGraph)
-                arrays = csr_arrays(attached.graph)
-                assert arrays is not None
-                assert np.array_equal(arrays[0], graph.offsets)
+                assert np.array_equal(attached.graph.offsets, graph.offsets)
+                got = pr_nibble(attached.graph, 0, params)
+                assert got.vector.to_dict() == want.vector.to_dict()
+                assert got.pushes == want.pushes

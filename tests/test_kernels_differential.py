@@ -31,6 +31,8 @@ run, so the harness is never vacuous.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,7 +51,7 @@ from repro.core import (
 )
 from repro.core.result import vector_items
 from repro.core.sweep import sweep_order
-from repro.graph import ShardedCSR, barbell_graph, from_edge_list, rand_local
+from repro.graph import barbell_graph, from_edge_list, rand_local
 from repro.kernels import available_kernels, reference
 from repro.runtime import track
 
@@ -537,37 +539,33 @@ class TestRandWalkDifferential:
         assert_profiles_identical(k_profile, py_profile)
 
 
-class TestShardEscalation:
-    """Cut-adjacent seeds on 2-shard graphs: the compiled whole-graph path
-    must agree bit-for-bit with the shard view's Python escalation."""
+class TestPythonPathAtRunJob:
+    """The compiled path and the ``kernel="python"`` path through
+    ``run_job`` agree bit-for-bit: vector, counters, profile and sweep."""
 
     @compiled_kernels
-    def test_boundary_seeds_agree_across_planes(self, kernel):
+    def test_bridge_seeds_agree_across_kernels(self, kernel):
         from repro.engine import DiffusionJob
         from repro.engine.executor import run_job
 
-        graph = barbell_graph(16)  # the bridge edge is the natural cut
-        with ShardedCSR.create(graph, shards=2) as sharded:
-            boundary = sharded.handle().boundaries[1]
-            seeds = [boundary - 1, boundary]  # one seed each side of the cut
-            with sharded.view() as view:
-                for seed in seeds:
-                    job = DiffusionJob.make(
-                        seed, params={"alpha": 0.1, "eps": 1e-5}, kernel=kernel
-                    )
-                    whole = run_job(graph, job, parallel=False, include_vector=True)
-                    shard = run_job(view, job, parallel=False, include_vector=True)
-                    assert np.array_equal(whole.vector_keys, shard.vector_keys)
-                    assert np.array_equal(whole.vector_values, shard.vector_values)
-                    assert whole.pushes == shard.pushes
-                    assert whole.work == shard.work
-                    assert whole.conductance == shard.conductance
-                    assert np.array_equal(whole.cluster, shard.cluster)
+        graph = barbell_graph(16)
+        for seed in (15, 16):  # the two endpoints of the bridge edge
+            job = DiffusionJob.make(seed, params={"alpha": 0.1, "eps": 1e-5}, kernel=kernel)
+            compiled = run_job(graph, job, parallel=False, include_vector=True)
+            python = run_job(
+                graph, replace(job, kernel="python"), parallel=False, include_vector=True
+            )
+            assert np.array_equal(compiled.vector_keys, python.vector_keys)
+            assert np.array_equal(compiled.vector_values, python.vector_values)
+            assert compiled.pushes == python.pushes
+            assert compiled.work == python.work
+            assert compiled.conductance == python.conductance
+            assert np.array_equal(compiled.cluster, python.cluster)
 
     @compiled_kernels
     @settings(max_examples=10, deadline=None)
     @given(edge_lists)
-    def test_random_graphs_across_planes(self, kernel, edges):
+    def test_random_graphs_across_kernels(self, kernel, edges):
         from repro.engine import DiffusionJob
         from repro.engine.executor import run_job
 
@@ -576,19 +574,18 @@ class TestShardEscalation:
         if seed is None:
             return
         job = DiffusionJob.make(seed, params={"alpha": 0.1, "eps": 1e-4}, kernel=kernel)
-        whole = run_job(graph, job, parallel=False, include_vector=True)
-        with ShardedCSR.create(graph, shards=2) as sharded:
-            with sharded.view() as view:
-                shard = run_job(view, job, parallel=False, include_vector=True)
-        assert np.array_equal(whole.vector_keys, shard.vector_keys)
-        assert np.array_equal(whole.vector_values, shard.vector_values)
-        assert whole.work == shard.work and whole.depth == shard.depth
+        compiled = run_job(graph, job, parallel=False, include_vector=True)
+        python = run_job(
+            graph, replace(job, kernel="python"), parallel=False, include_vector=True
+        )
+        assert np.array_equal(compiled.vector_keys, python.vector_keys)
+        assert np.array_equal(compiled.vector_values, python.vector_values)
+        assert compiled.work == python.work and compiled.depth == python.depth
 
     @compiled_kernels
     @settings(max_examples=10, deadline=None)
     @given(edge_lists)
-    def test_bsp_whole_graph_twin_matches_shard_view(self, kernel, edges):
-        # A shard view runs the numpy rounds; the whole graph the twin.
+    def test_bsp_twin_matches_numpy_rounds(self, kernel, edges):
         from repro.engine import DiffusionJob
         from repro.engine.executor import run_job
 
@@ -597,12 +594,12 @@ class TestShardEscalation:
         if seed is None:
             return
         job = DiffusionJob.make(seed, params={"alpha": 0.1, "eps": 1e-4}, kernel=kernel)
-        whole = run_job(graph, job, parallel=True, include_vector=True)
-        with ShardedCSR.create(graph, shards=2) as sharded:
-            with sharded.view() as view:
-                shard = run_job(view, job, parallel=True, include_vector=True)
-        assert np.array_equal(whole.vector_keys, shard.vector_keys)
-        assert np.array_equal(whole.vector_values, shard.vector_values)
-        assert whole.residual_mass == shard.residual_mass
-        assert whole.conductance == shard.conductance
-        assert whole.work == shard.work and whole.depth == shard.depth
+        compiled = run_job(graph, job, parallel=True, include_vector=True)
+        python = run_job(
+            graph, replace(job, kernel="python"), parallel=True, include_vector=True
+        )
+        assert np.array_equal(compiled.vector_keys, python.vector_keys)
+        assert np.array_equal(compiled.vector_values, python.vector_values)
+        assert compiled.residual_mass == python.residual_mass
+        assert compiled.conductance == python.conductance
+        assert compiled.work == python.work and compiled.depth == python.depth

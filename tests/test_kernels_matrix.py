@@ -46,7 +46,6 @@ CELLS = [
     ("serial", None),
     ("process", "cost"),
     ("process", "fifo"),
-    ("sharded", None),
 ]
 
 
@@ -78,8 +77,6 @@ def make_engine(graph, backend, schedule, kernel, cache=None):
             graph, backend="process", workers=2, schedule=schedule,
             cache=cache, kernel=kernel,
         )
-    if backend == "sharded":
-        return BatchEngine(graph, backend="sharded", shards=3, cache=cache, kernel=kernel)
     return BatchEngine(graph, cache=cache, kernel=kernel)
 
 

@@ -200,13 +200,8 @@ class TestEngineOptions:
         assert EngineOptions().resolved_backend() == "serial"
         assert EngineOptions(workers=1).resolved_backend() == "serial"
         assert EngineOptions(workers=2).resolved_backend() == "process"
-        assert EngineOptions(shards=4).resolved_backend() == "sharded"
 
     def test_validate_keeps_the_engine_conflict_messages(self):
-        with pytest.raises(ValueError, match="only apply to the sharded backend"):
-            EngineOptions(max_resident_shards=2).validate()
-        with pytest.raises(ValueError, match="sharded backend is in-process"):
-            EngineOptions(shards=4, workers=2).validate()
         with pytest.raises(ValueError, match="unknown backend"):
             EngineOptions(backend="cluster").validate()
         with pytest.raises(ValueError, match="unknown schedule"):

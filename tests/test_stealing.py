@@ -14,9 +14,9 @@ Scheduler v2's contract has three load-bearing pieces:
 * Stealing changes *placement only*.  The property test runs mixed-method,
   mixed-kernel batches through one long-lived stealing pool session (so
   calibration accumulates across batches, exactly like a serving process)
-  and asserts outcomes bit-identical to serial; the sharded variant does
-  the same across shard counts.  CI re-runs this file under a forced
-  ``spawn`` start method, which covers the start-method axis.
+  and asserts outcomes bit-identical to serial.  CI re-runs this file
+  under a forced ``spawn`` start method, which covers the start-method
+  axis.
 """
 
 from __future__ import annotations
@@ -273,8 +273,8 @@ def stealing_session():
 
 class TestStealingBitIdentical:
     """Satellite contract: steal-order execution is bit-identical to serial
-    for all four methods, across kernels (every available one), shard
-    counts (below), and start methods (CI re-runs under forced spawn)."""
+    for all four methods, across kernels (every available one) and start
+    methods (CI re-runs under forced spawn)."""
 
     @settings(max_examples=8, deadline=None)
     @given(jobs=st.lists(diffusion_jobs(), min_size=1, max_size=12))
@@ -302,22 +302,3 @@ class TestStealingBitIdentical:
         assert backend.dispatch.jobs == backend.cost_model.observations
         snapshot = backend.cost_model.snapshot()
         assert all(entry["samples"] >= 1 for entry in snapshot.values())
-
-    @settings(max_examples=6, deadline=None)
-    @given(
-        jobs=st.lists(diffusion_jobs(), min_size=1, max_size=8),
-        shards=st.integers(1, 4),
-    )
-    def test_sharded_routing_matches_serial(self, jobs, shards):
-        engine = BatchEngine(
-            GRAPH, backend="sharded", shards=shards, include_vectors=False
-        )
-        outcomes = engine.run(jobs)
-        for index, (job, outcome) in enumerate(zip(jobs, outcomes)):
-            reference = run_job(GRAPH, job, index=index, include_vector=False)
-            assert outcome.index == index
-            assert outcome.pushes == reference.pushes
-            assert outcome.support_size == reference.support_size
-            if reference.sweep is not None:
-                assert np.array_equal(outcome.cluster, reference.cluster)
-                assert outcome.conductance == reference.conductance
