@@ -4,16 +4,20 @@ The paper bounds PR-Nibble work by O(1/(eps*alpha)), so a mixed-eps NCP
 grid contains jobs whose costs span ~3 orders of magnitude.  Count-based
 (fifo) chunking lets one chunk collect the expensive corner of the grid
 and straggle the whole batch.  The scheduler plane's answer evolved in
-two steps, and this benchmark keeps both on the record:
+two steps; the engine now has only the second, and this benchmark plans
+the two older dispatches itself (:func:`fifo_slices`,
+:func:`cost_chunks`) to keep them on the record as baselines:
 
-* ``cost-chunks`` — the historical pre-planned packing
-  (:func:`repro.engine.plan_chunks`): cost-balanced chunks dispatched
-  longest-first.  Good when the estimates are right; one mis-estimated
-  chunk still straggles, because the assignment is fixed up front.
-* ``cost`` — work-stealing dispatch (:func:`repro.engine.plan_units`):
-  fine-grained units ordered heaviest-first on a shared queue, workers
-  pulling the next unit as they finish.  Placement reacts to *measured*
-  progress, so an estimate error costs at most one unit of imbalance.
+* ``fifo`` — contiguous count-based slices of ~8 per worker.
+* ``cost-chunks`` — the historical pre-planned packing: cost-balanced
+  chunks dispatched longest-first.  Good when the estimates are right;
+  one mis-estimated chunk still straggles, because the assignment is
+  fixed up front.
+* ``cost`` — work-stealing dispatch (:func:`repro.engine.plan_units`),
+  the engine's only dispatch: fine-grained units ordered heaviest-first
+  on a shared queue, workers pulling the next unit as they finish.
+  Placement reacts to *measured* progress, so an estimate error costs at
+  most one unit of imbalance.
 
 The comparison runs on exactly the straggler workload:
 
@@ -22,11 +26,11 @@ The comparison runs on exactly the straggler workload:
    list-scheduling simulation (units assigned, in dispatch order, to the
    earliest-free of W workers) using the *measured* durations — giving
    exact makespan and per-worker idle with zero timing noise.
-3. ``fifo`` and ``cost`` also run for real through a process pool opened
-   with ``open_session()`` (``cost-chunks`` is simulation-only: the
-   executor now always steals; a one-shot ``engine.run`` would keep a
-   batch this short in-process at smoke scale), the outcomes are
-   asserted bit-identical to serial, and the backend's
+3. ``cost`` also runs for real through a process pool opened with
+   ``open_session()`` (a one-shot ``engine.run`` would keep a batch this
+   short in-process at smoke scale).  The two baselines are
+   simulation-only, since the engine can no longer dispatch them.  The
+   outcomes are asserted bit-identical to serial, and the backend's
    :class:`~repro.engine.DispatchStats` (per-worker busy/idle/steals)
    plus the online cost-calibration snapshot land in the summary.
 
@@ -41,6 +45,7 @@ beat the pre-planned ``cost-chunks`` packing on makespan and idle p95.
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import pathlib
@@ -50,7 +55,7 @@ import numpy as np
 
 from repro.bench import BatchRun, format_seconds, format_table, write_csv
 from repro.core.seeding import random_seeds
-from repro.engine import BatchEngine, plan_chunks, plan_units, run_job
+from repro.engine import BatchEngine, estimate_cost, plan_units, run_job
 from repro.engine.reducers import StatsReducer
 
 GRAPH = "soc-LJ"
@@ -59,7 +64,9 @@ ALPHAS = (0.05, 0.01)
 EPS_VALUES = (1e-3, 1e-4, 1e-5, 1e-6)  # ~1000x cost spread end to end
 WORKERS = 4
 SCHEDULES_UNDER_TEST = ("fifo", "cost-chunks", "cost")
-REAL_SCHEDULES = ("fifo", "cost")
+#: baseline plans per worker, and the most jobs in one fifo slice.
+CHUNKS_PER_WORKER = 8
+MAX_SLICE_JOBS = 32
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 
@@ -70,11 +77,41 @@ def mixed_eps_jobs(graph):
     return list(job_grid(seeds, "pr-nibble", {"alpha": ALPHAS, "eps": EPS_VALUES}))
 
 
+def fifo_slices(jobs, workers):
+    """Contiguous count-based slices, ~8 per worker and at most 32 jobs."""
+    size = max(1, min(MAX_SLICE_JOBS, len(jobs) // (workers * CHUNKS_PER_WORKER)))
+    indexed = list(enumerate(jobs))
+    return [indexed[start : start + size] for start in range(0, len(indexed), size)]
+
+
+def cost_chunks(jobs, workers):
+    """Pre-planned LPT packing: jobs longest-first onto the lightest of k
+    chunks, heaviest chunk first.  k is capped so that the per-chunk
+    target total/k is at least the heaviest job, which bounds every chunk
+    by twice the mean."""
+    costs = [estimate_cost(job) for job in jobs]
+    k = max(1, min(workers * CHUNKS_PER_WORKER, len(jobs), int(sum(costs) // max(costs))))
+    members = [[] for _ in range(k)]
+    heap = [(0.0, b) for b in range(k)]
+    for i in sorted(range(len(jobs)), key=lambda i: (-costs[i], i)):
+        load, lightest = heapq.heappop(heap)
+        members[lightest].append(i)
+        heapq.heappush(heap, (load + costs[i], lightest))
+    loads = {b: load for load, b in heap}
+    packed = sorted(
+        ((loads[b], chunk) for b, chunk in enumerate(members) if chunk),
+        key=lambda item: (-item[0], item[1][0]),
+    )
+    return [[(i, jobs[i]) for i in chunk] for _, chunk in packed]
+
+
 def plan_for(schedule, jobs):
     """The dispatch plan a schedule produces, as a list of (index, job) units."""
+    if schedule == "fifo":
+        return fifo_slices(jobs, WORKERS)
     if schedule == "cost-chunks":
-        return plan_chunks(jobs, WORKERS, schedule="cost")
-    return plan_units(jobs, WORKERS, schedule=schedule)
+        return cost_chunks(jobs, WORKERS)
+    return plan_units(jobs, WORKERS)
 
 
 def pooled_run(engine, jobs):
@@ -131,26 +168,21 @@ def test_scheduler_straggler_tail(benchmark, graphs):
                 "idle_max": float(idle.max()),
                 "idle_mean": float(idle.mean()),
             }
-        # 3. real pool runs, asserted identical to serial
+        # 3. a real pool run of the engine's dispatch, asserted identical
+        # to serial
         serial = BatchEngine(graph, include_vectors=False).run(jobs)
-        real = {}
-        for schedule in REAL_SCHEDULES:
-            engine = BatchEngine(
-                graph,
-                backend="process",
-                workers=WORKERS,
-                include_vectors=False,
-                schedule=schedule,
-            )
-            real[schedule] = pooled_run(engine, jobs)
+        engine = BatchEngine(
+            graph, backend="process", workers=WORKERS, include_vectors=False
+        )
+        real = {"cost": pooled_run(engine, jobs)}
         return durations, simulated, real, serial
 
     durations, simulated, real, serial = benchmark.pedantic(
         measure, rounds=1, iterations=1
     )
 
-    # Determinism: both scheduled pool runs saw every job (stats match the
-    # serial pass), so dispatch changed placement, never results.
+    # Determinism: the pool run saw every job (stats match the serial
+    # pass), so dispatch changed placement, never results.
     for schedule, run in real.items():
         assert run.stats.jobs == len(jobs), schedule
         assert run.stats.total_pushes == sum(o.pushes for o in serial), schedule

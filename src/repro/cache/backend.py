@@ -63,8 +63,8 @@ def _cached_batch(
     keys = [cache_key_for(fingerprint, job, parallel, include_vectors) for job in jobs]
 
     # Plan the batch up front so the misses can be dispatched to the
-    # wrapped backend as one sub-batch (one pool round-trip, full
-    # chunking) while hits and coalesced duplicates replay locally.
+    # wrapped backend as one sub-batch (one pool dispatch over all of
+    # them) while hits and coalesced duplicates replay locally.
     plan: list[object] = []
     first_miss: dict[CacheKey, int] = {}
     pending_uses: dict[CacheKey, int] = {}

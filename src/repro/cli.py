@@ -303,7 +303,7 @@ def _cache_from_args(args: argparse.Namespace):
 
 #: engine knobs that surface as CLI flags of the same name, and the
 #: pattern that finds them in a validator message.
-_FLAG_KNOBS = ("workers", "start_method", "schedule", "kernel")
+_FLAG_KNOBS = ("workers", "start_method", "kernel")
 _FLAG_KNOB_NAMES = re.compile(r"(?<![\w-])(" + "|".join(_FLAG_KNOBS) + r")(?![\w-])")
 
 
@@ -494,6 +494,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             request = parse_request_line(text, default_method=args.method)
             if request.id is not None:
                 request_id = request.id
+            request.validate(num_vertices=service.num_vertices)
             future = service.submit(
                 request.job(),
                 priority=request.priority,
@@ -925,16 +926,6 @@ def _add_pool_flags(parser: argparse.ArgumentParser) -> None:
         "forkserver; default: $REPRO_START_METHOD or the platform's best). "
         "Every method fans out — non-fork ones attach the graph via shared "
         "memory",
-    )
-    parser.add_argument(
-        "--schedule",
-        choices=["cost", "fifo"],
-        default=None,
-        help="dispatch policy of the worker pool: 'cost' feeds workers "
-        "fine-grained units in heaviest-first order from the "
-        "O(1/(eps*alpha))-style work bounds — workers steal the next unit "
-        "as they finish (default); 'fifo' uses pre-planned contiguous "
-        "count-based chunks",
     )
 
 

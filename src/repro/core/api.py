@@ -214,7 +214,6 @@ def cluster_many(
     workers: int | None = None,
     cache: "Any | bool | str | None" = None,
     start_method: str | None = None,
-    schedule: str | None = None,
     kernel: str | None = None,
     options: "Any | None" = None,
     **param_overrides: Any,
@@ -225,9 +224,9 @@ def cluster_many(
     batch engine (:mod:`repro.engine`): ``workers=4`` — or a prebuilt
     :class:`repro.engine.BatchEngine` via ``engine`` — fans them across a
     process pool on any platform (non-``fork`` start methods attach the
-    graph through shared memory; see ``start_method`` / ``schedule`` on
-    the engine); the default serial backend matches a plain Python loop
-    over :func:`local_cluster` result-for-result.  Randomized methods draw
+    graph through shared memory; see ``start_method`` on the engine); the
+    default serial backend matches a plain Python loop over
+    :func:`local_cluster` result-for-result.  Randomized methods draw
     one sub-seed per job from ``rng`` up front, so results do not depend
     on the backend, the worker count, or the completion order.
     With ``workers`` above 1 the jobs run in-process, in job order, until
@@ -272,7 +271,6 @@ def cluster_many(
         parallel=parallel,
         cache=cache,
         start_method=start_method,
-        schedule=schedule,
         kernel=kernel,
     )
     if not batch.include_vectors:

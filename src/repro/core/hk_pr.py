@@ -44,7 +44,7 @@ from ..ligra import VertexSubset, charge_edge_map, edge_map, expand_by_degree, v
 from ..prims.hashtable import TableCharges
 from ..prims.sparse import SparseDict, SparseVector
 from ..runtime import log2ceil, record
-from .result import DiffusionResult, seed_array
+from .result import DiffusionResult, check_count, seed_array
 
 __all__ = [
     "HKPRParams",
@@ -71,8 +71,7 @@ class HKPRParams:
     def __post_init__(self) -> None:
         if self.t <= 0.0:
             raise ValueError("t must be positive")
-        if self.taylor_degree < 1:
-            raise ValueError("taylor_degree must be >= 1")
+        check_count("taylor_degree", self.taylor_degree, 1)
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must be in (0, 1)")
 

@@ -83,7 +83,6 @@ def ncp_profile(
     workers: int | None = None,
     cache: "Any | bool | str | None" = None,
     start_method: str | None = None,
-    schedule: str | None = None,
     kernel: str | None = None,
 ) -> NCPResult:
     """Generate an NCP by sweeping PR-Nibble over seeds and parameters.
@@ -97,9 +96,8 @@ def ncp_profile(
     across a process pool (on any platform — non-``fork`` start methods
     attach the graph through shared memory); the default is the
     deterministic serial backend, which reproduces the historical
-    one-at-a-time loop exactly.  ``start_method`` and ``schedule``
-    (``"cost"`` cost-balanced chunks, the default, or ``"fifo"``) tune
-    the pool; mixed-eps grids are exactly the workload cost scheduling
+    one-at-a-time loop exactly.  The pool hands out heaviest-first steal
+    units; mixed-eps grids are exactly the workload that ordering
     de-straggles, since PR-Nibble work scales as O(1/(eps*alpha)).
     A prebuilt :class:`repro.engine.BatchEngine` is accepted via
     ``engine`` for callers issuing many profiles against one graph; it
@@ -144,7 +142,6 @@ def ncp_profile(
         include_vectors=None if isinstance(engine, BatchEngine) else False,
         cache=cache,
         start_method=start_method,
-        schedule=schedule,
         kernel=kernel,
     )
     return batch.run(jobs, NCPReducer(limit))

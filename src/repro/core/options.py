@@ -16,7 +16,7 @@ halves of the surface into frozen records with **one validation path**:
   and :meth:`ClusterRequest.validate` applies the full semantic checks —
   every failure a :class:`RequestError` naming the offending field.
 * :class:`EngineOptions` — *how to execute*: backend, workers,
-  start-method, schedule, kernel, cache, graph version.  Every engine
+  start-method, kernel, cache, graph version.  Every engine
   entry point turns its loose keyword knobs (or its ``options=`` record)
   into one of these with :meth:`EngineOptions.coerce`; combining both
   spellings raises (the no-silently-ignored-knob rule).
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 __all__ = [
     "PRIORITIES",
@@ -479,7 +479,7 @@ class EngineOptions:
         ``None`` to pick ``"process"`` when ``workers`` asks for more than
         one worker and ``"serial"`` otherwise.  A prebuilt instance
         already carries its own pool configuration, so setting
-        ``workers``, ``start_method`` or ``schedule`` next to it raises.
+        ``workers`` or ``start_method`` next to it raises.
     workers:
         Worker count for the process backend (default: all cores).
     parallel:
@@ -503,10 +503,6 @@ class EngineOptions:
         for real — non-fork methods attach the graph through shared
         memory.  Default: ``$REPRO_START_METHOD``, else ``fork`` where
         available.
-    schedule:
-        Dispatch policy of the process backend's pool: ``"cost"``
-        (default; cost-ordered steal units, heaviest first) or ``"fifo"``
-        (contiguous count-based chunks).
     kernel:
         Default loop implementation for jobs that do not carry their own
         ``DiffusionJob.kernel`` (:mod:`repro.kernels`): ``None`` (keep the
@@ -520,10 +516,10 @@ class EngineOptions:
         after the chain advances raises a :class:`RequestError` (code
         409) instead of answering against stale edges.
 
-    ``start_method`` and ``schedule`` need the process backend.  Each
-    conflict raises ``ValueError`` rather than silently dropping a knob.
+    ``start_method`` needs the process backend.  Each conflict raises
+    ``ValueError`` rather than silently dropping a knob.
 
-    >>> EngineOptions.coerce(workers=4, schedule="fifo").resolved_backend()
+    >>> EngineOptions.coerce(workers=4, start_method="spawn").resolved_backend()
     'process'
     >>> try:
     ...     EngineOptions.coerce(start_method="spawn")
@@ -538,7 +534,6 @@ class EngineOptions:
     include_vectors: bool = True
     cache: Any = None
     start_method: str | None = None
-    schedule: str | None = None
     kernel: str | None = None
     graph_version: int | None = None
 
@@ -569,25 +564,21 @@ class EngineOptions:
             return self.backend
         return "process" if self.workers is not None and self.workers > 1 else "serial"
 
-    def _set_knobs(self, names: Sequence[str]) -> list[str]:
-        return [
-            name for name in names
-            if getattr(self, name) is not None and getattr(self, name) is not False
-        ]
-
     def validate(self) -> "EngineOptions":
         """The one structural validation path for the knob surface.
 
         Raises ``ValueError`` on unknown backends, knobs next to a prebuilt
-        backend, pool knobs without the process backend, unknown schedule
-        names, and
+        backend, ``start_method`` without the process backend, and
         unknown/unavailable kernels.  Returns ``self``.
         """
         from ..engine.executor import PoolBackend
 
         backend = self.resolved_backend()
         if isinstance(backend, PoolBackend):
-            built = self._set_knobs(("workers", "start_method", "schedule"))
+            built = [
+                name for name in ("workers", "start_method")
+                if getattr(self, name) is not None
+            ]
             if built:
                 raise ValueError(
                     f"backend is already constructed; {', '.join(built)} "
@@ -599,20 +590,10 @@ class EngineOptions:
                 f"unknown backend {backend!r}; expected 'serial', 'process' "
                 "or a backend instance"
             )
-        if backend == "serial":
-            pool_knobs = self._set_knobs(("start_method", "schedule"))
-            if pool_knobs:
-                verb = "configures" if len(pool_knobs) == 1 else "configure"
-                raise ValueError(
-                    f"{', '.join(pool_knobs)} {verb} the worker pool; pass workers > 1"
-                )
-        if self.schedule is not None:
-            from ..engine.scheduler import SCHEDULES
-
-            if self.schedule not in SCHEDULES:
-                raise ValueError(
-                    f"unknown schedule {self.schedule!r}; choose from {SCHEDULES}"
-                )
+        if backend == "serial" and self.start_method is not None:
+            raise ValueError(
+                "start_method configures the worker pool; pass workers > 1"
+            )
         if self.kernel is not None:
             from ..kernels import resolve_kernel
 

@@ -65,7 +65,7 @@ from ..ligra import VertexSubset, charge_edge_map, edge_map, expand_by_degree, v
 from ..prims.hashtable import TableCharges
 from ..prims.sparse import SparseDict, SparseVector
 from ..runtime import log2ceil, record
-from .result import DiffusionResult, seed_array
+from .result import DiffusionResult, check_count, seed_array
 
 __all__ = [
     "PRNibbleParams",
@@ -100,8 +100,7 @@ class PRNibbleParams:
             raise ValueError("eps must be in (0, 1)")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must be in (0, 1]")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        check_count("max_iterations", self.max_iterations, 1)
 
 
 def pr_nibble_sequential(

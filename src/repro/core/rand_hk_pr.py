@@ -34,7 +34,7 @@ from ..prims.hashtable import IntFloatHashTable, TableCharges
 from ..prims.sort import charge_integer_sort, integer_sort_order
 from ..prims.sparse import SparseDict, SparseVector
 from ..runtime import log2ceil, record
-from .result import DiffusionResult, seed_array
+from .result import DiffusionResult, check_count, seed_array
 
 __all__ = [
     "RandHKPRParams",
@@ -62,10 +62,8 @@ class RandHKPRParams:
     def __post_init__(self) -> None:
         if self.t <= 0.0:
             raise ValueError("t must be positive")
-        if self.max_walk_length < 0:
-            raise ValueError("max_walk_length must be >= 0")
-        if self.num_walks < 1:
-            raise ValueError("num_walks must be >= 1")
+        check_count("max_walk_length", self.max_walk_length, 0)
+        check_count("num_walks", self.num_walks, 1)
 
 
 def sample_walk_lengths(

@@ -1,8 +1,10 @@
 """Result types returned by the diffusion algorithms and the sweep cut,
-and the seed normaliser every diffusion shares."""
+and the seed normaliser and integer-parameter check every diffusion
+shares."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -10,7 +12,28 @@ import numpy as np
 
 from ..prims.sparse import SparseDict, SparseVector
 
-__all__ = ["DiffusionResult", "SweepResult", "ClusterResult", "seed_array", "vector_items"]
+__all__ = [
+    "DiffusionResult",
+    "SweepResult",
+    "ClusterResult",
+    "check_count",
+    "seed_array",
+    "vector_items",
+]
+
+
+def check_count(name: str, value: object, minimum: int) -> None:
+    """Raise unless ``value`` is an integer of at least ``minimum``.
+
+    ``bool`` and integral floats such as ``20.0`` are refused with
+    ``TypeError``: a parameter dataclass that stored one would pass
+    validation and then fail inside a batch, where numpy refuses a float
+    as a size or a count.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
 
 
 def seed_array(seeds: "int | np.ndarray", num_vertices: int) -> np.ndarray:

@@ -45,12 +45,9 @@ from .executor import (
 from .jobs import DiffusionJob, job_grid
 from .scheduler import (
     KERNEL_COST_SCALE,
-    SCHEDULES,
-    chunk_costs,
     estimate_cost,
     kernel_cost_scale,
     observe_outcome,
-    plan_chunks,
     plan_units,
     resolved_kernel_name,
     steal_unit_size,
@@ -77,12 +74,9 @@ __all__ = [
     "DiffusionJob",
     "job_grid",
     "KERNEL_COST_SCALE",
-    "SCHEDULES",
-    "chunk_costs",
     "estimate_cost",
     "kernel_cost_scale",
     "observe_outcome",
-    "plan_chunks",
     "plan_units",
     "resolved_kernel_name",
     "steal_unit_size",

@@ -20,13 +20,12 @@ The execution layer is organised in three planes:
   O(1/(eps*alpha)) style estimates calibrated online against measured
   seconds) that workers pull dynamically from a shared queue, so one
   expensive corner of a parameter grid cannot straggle the batch.
-  ``schedule="fifo"`` restores plain count-based chunking.
 * **Backend plane** (this module) — :class:`PoolBackend` owns the shared
   in-process execution loop; :class:`SerialBackend` is exactly that loop,
   and :class:`ProcessPoolBackend` adds the pool, the graph hand-off and
-  the chunk dispatch.  Both deliver outcomes **in job order**, so every
-  reducer sees a deterministic stream at any worker count, under any
-  start method, with either schedule.
+  the unit dispatch.  Both deliver outcomes **in job order**, so every
+  reducer sees a deterministic stream at any worker count and under any
+  start method.
 
 Pool lifecycle is separated from batch streaming: every backend can
 ``open_session()`` an :class:`ExecutionSession` whose ``run(jobs)`` may be
@@ -79,14 +78,7 @@ from ..runtime import detached, record, track
 from ..runtime.cost_model import CostModel
 from .jobs import DiffusionJob
 from .reducers import CollectReducer, Reducer
-from .scheduler import (
-    SCHEDULES,
-    estimate_cost,
-    fifo_chunk_size,
-    observe_outcome,
-    plan_units,
-    pool_pays,
-)
+from .scheduler import estimate_cost, observe_outcome, plan_units, pool_pays
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cache import ResultCache
@@ -298,20 +290,6 @@ def _worker_init(payload: tuple, parallel: bool, include_vectors: bool) -> None:
     _WORKER_INCLUDE_VECTORS = include_vectors
 
 
-def _worker_run_chunk(chunk: Sequence[tuple[int, DiffusionJob]]) -> list[JobOutcome]:
-    assert _WORKER_GRAPH is not None, "worker initializer did not run"
-    return [
-        run_job(
-            _WORKER_GRAPH,
-            job,
-            index=index,
-            parallel=_WORKER_PARALLEL,
-            include_vector=_WORKER_INCLUDE_VECTORS,
-        )
-        for index, job in chunk
-    ]
-
-
 def _worker_run_unit(
     unit: Sequence[tuple[int, DiffusionJob]],
 ) -> tuple[int, float, list[JobOutcome]]:
@@ -321,8 +299,18 @@ def _worker_run_unit(
     workers without any extra IPC — the dispatch stats (steals, idle,
     busy) fall out of the tagged stream.
     """
+    assert _WORKER_GRAPH is not None, "worker initializer did not run"
     start = time.perf_counter()
-    outcomes = _worker_run_chunk(unit)
+    outcomes = [
+        run_job(
+            _WORKER_GRAPH,
+            job,
+            index=index,
+            parallel=_WORKER_PARALLEL,
+            include_vector=_WORKER_INCLUDE_VECTORS,
+        )
+        for index, job in unit
+    ]
     return os.getpid(), time.perf_counter() - start, outcomes
 
 
@@ -343,7 +331,7 @@ class DispatchStats:
 
     A worker's *steals* count the units it pulled from the shared queue
     beyond its first in a batch — every one is a dynamic rebalancing
-    decision a pre-planned chunk assignment could not have made.  *Idle*
+    decision a pre-planned assignment could not have made.  *Idle*
     is the gap between a worker's busy seconds and the batch span (the
     straggler tail the stealing loop exists to shrink).
     """
@@ -522,11 +510,7 @@ class PoolSession(ExecutionSession):
         backend: "ProcessPoolBackend" = self.backend  # type: ignore[assignment]
         model = backend.cost_model
         units = plan_units(
-            jobs,
-            backend.workers,
-            schedule=backend.schedule,
-            chunk_size=backend.chunk_size,
-            estimator=lambda job: estimate_cost(job, model),
+            jobs, backend.workers, estimator=lambda job: estimate_cost(job, model)
         )
         # The pool's shared task queue *is* the steal queue: every worker
         # pulls the next undispatched unit the moment it finishes its
@@ -565,7 +549,7 @@ class PoolSession(ExecutionSession):
         """Shut the pool down and unlink the graph export (idempotent).
 
         ``terminate()`` + ``join()`` rather than ``close()`` + ``join()``:
-        an abandoned mid-batch iterator may have chunks still queued, and
+        an abandoned mid-batch iterator may have units still queued, and
         a deterministic shutdown must not wait for them.
         """
         if self._closed:
@@ -698,14 +682,11 @@ class ProcessPoolBackend(PoolBackend):
     (:mod:`repro.engine.scheduler`) orders jobs into fine-grained units
     and the pool's shared task queue hands the next undispatched unit to
     whichever worker finishes first, so placement adapts to measured
-    durations instead of trusting the estimates.  ``schedule="cost"``
-    (default) orders units heaviest-first (LPT list scheduling) using
-    estimates calibrated online by the backend's
-    :class:`~repro.runtime.cost_model.CostModel` (seconds-per-work-unit
-    learned per method and kernel from completed outcomes, within and
-    across batches in a session); ``schedule="fifo"`` keeps the legacy
-    contiguous count-based slicing.  ``chunk_size`` keeps its historical
-    "jobs per IPC round-trip" meaning under both schedules.  Per-worker
+    durations instead of trusting the estimates.  Units go out
+    heaviest-first (LPT list scheduling) using estimates calibrated online
+    by the backend's :class:`~repro.runtime.cost_model.CostModel`
+    (seconds-per-work-unit learned per method and kernel from completed
+    outcomes, within and across batches in a session).  Per-worker
     busy/idle/steal accounting accumulates on ``backend.dispatch``.
 
     A one-shot batch (:meth:`PoolBackend.stream`, behind
@@ -723,11 +704,10 @@ class ProcessPoolBackend(PoolBackend):
     its original index and the stream re-emits them **in job order**, so
     reducers in the parent observe the identical deterministic stream the
     serial backend produces.  Re-ordering buffers completed outcomes
-    until their index is next; under ``schedule="cost"`` (non-contiguous
-    units) that buffer can, in the worst case, approach the batch size —
-    prefer ``include_vectors=False`` for huge batches (outcomes shrink to
-    counters + sweep), or ``schedule="fifo"`` to keep the buffer at the
-    in-flight units.
+    until their index is next; units are not contiguous, so that buffer
+    can, in the worst case, approach the batch size — prefer
+    ``include_vectors=False`` for huge batches (outcomes shrink to
+    counters + sweep).
     """
 
     folds_into_tracker = False
@@ -736,8 +716,6 @@ class ProcessPoolBackend(PoolBackend):
         self,
         workers: int | None = None,
         start_method: str | None = None,
-        chunk_size: int | None = None,
-        schedule: str = "cost",
     ) -> None:
         available = multiprocessing.get_all_start_methods()
         if start_method is None:
@@ -748,25 +726,13 @@ class ProcessPoolBackend(PoolBackend):
             raise ValueError(
                 f"start method {start_method!r} unavailable; choose from {available}"
             )
-        if schedule not in SCHEDULES:
-            raise ValueError(
-                f"unknown schedule {schedule!r}; choose from {SCHEDULES}"
-            )
         self.workers = max(1, workers if workers is not None else (os.cpu_count() or 1))
         self.start_method = start_method
-        self.chunk_size = chunk_size
-        self.schedule = schedule
         # Session-scoped learning and accounting: the cost model calibrates
         # estimates from completed outcomes (within and across batches) and
         # the dispatch stats accumulate per-worker busy/idle/steal counts.
         self.cost_model = CostModel()
         self.dispatch = DispatchStats()
-
-    def _chunk_size(self, num_jobs: int) -> int:
-        """Jobs per chunk for count-based plans — delegates to the
-        scheduler's single sizing rule (kept as the historical entry
-        point callers and tests know)."""
-        return fifo_chunk_size(num_jobs, self.workers, self.chunk_size)
 
     def _graph_payload(self, graph: CSRGraph) -> "tuple[tuple, SharedCSR | None]":
         """(initializer payload, owning SharedCSR to unlink — or None)."""
@@ -822,7 +788,7 @@ class BatchEngine:
     **knobs:
         The same configuration as loose keywords — ``workers``,
         ``parallel``, ``include_vectors``, ``cache``, ``start_method``,
-        ``schedule``, ``kernel``, ``graph_version``.
+        ``kernel``, ``graph_version``.
         :class:`~repro.core.options.EngineOptions` documents each one.
         Setting any of them next to ``options`` raises ``ValueError``.
 
@@ -880,9 +846,7 @@ class BatchEngine:
             self.backend: PoolBackend = SerialBackend()
         elif chosen == "process":
             self.backend = ProcessPoolBackend(
-                workers=options.workers,
-                start_method=options.start_method,
-                schedule=options.schedule if options.schedule is not None else "cost",
+                workers=options.workers, start_method=options.start_method
             )
         else:  # a prebuilt instance; validate() rejected any knob it would ignore
             self.backend = chosen

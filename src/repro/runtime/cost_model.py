@@ -58,7 +58,7 @@ __all__ = [
 # ----------------------------------------------------------------------
 # A-priori work bounds.  The tracker above measures cost *after* a run;
 # these closed forms predict it *before* one, from parameters alone —
-# the quantities the engine's cost-aware scheduler packs chunks by.
+# the quantities the engine's scheduler orders steal units by.
 # ----------------------------------------------------------------------
 def ppr_push_work_bound(alpha: float, eps: float) -> float:
     """The paper's O(1/(eps*alpha)) bound on PR-Nibble push work.

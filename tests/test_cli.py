@@ -255,6 +255,31 @@ class TestServeCommand:
         assert replies[1]["error"]["field"] == "seeds"
         assert replies[2]["size"] > 0
 
+    def test_serve_refuses_bad_numbers_with_400(self, tmp_path, capsys, monkeypatch):
+        """A float integer parameter and a seed beyond int64 are the
+        client's errors: both answer 400 naming the field, not 500."""
+        import json
+
+        path = tmp_path / "fig1.npz"
+        save_npz(paper_figure1_graph(), path)
+        monkeypatch.setattr(
+            "sys.stdin",
+            self._request_lines(
+                {"id": "deg", "seeds": 2, "method": "hk-pr",
+                 "params": {"taylor_degree": 20.0}},
+                {"id": "big", "seeds": 10**23},
+                {"id": "ok", "seeds": 0},
+            ),
+        )
+        assert main(["serve", str(path)]) == 0
+        replies = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["id"] for r in replies] == ["deg", "big", "ok"]
+        assert replies[0]["error"]["code"] == 400
+        assert replies[0]["error"]["field"] == "params.taylor_degree"
+        assert replies[1]["error"]["code"] == 400
+        assert replies[1]["error"]["field"] == "seeds"
+        assert replies[2]["size"] > 0
+
     def test_serve_start_method_without_workers_rejected(self, tmp_path):
         path = tmp_path / "fig1.npz"
         save_npz(paper_figure1_graph(), path)

@@ -615,8 +615,8 @@ class TestEngineConfiguration:
         [
             {"workers": 4},
             {"start_method": "spawn"},
-            {"schedule": "fifo"},
-            {"workers": 4, "schedule": "fifo"},
+            {"workers": 2, "start_method": "fork"},
+            {"workers": 4, "start_method": "spawn"},
         ],
     )
     def test_backend_instance_conflicting_kwargs_rejected(self, graph, kwargs):
@@ -641,7 +641,7 @@ class TestEngineConfiguration:
         engine plus construction knobs is an error, not a no-op."""
         engine = BatchEngine(graph)
         for kwargs in ({"workers": 4}, {"cache": True}, {"start_method": "spawn"},
-                       {"schedule": "fifo"}):
+                       {"kernel": "python"}):
             with pytest.raises(ValueError, match="already constructed"):
                 resolve_engine(graph, engine, **kwargs)
         # None / False mean "unset" and still pass the engine through.
@@ -655,17 +655,18 @@ class TestEngineConfiguration:
         engine = BatchEngine(graph)
         assert resolve_engine(copy, engine) is engine
 
-    def test_schedule_and_start_method_thread_through(self, graph):
-        engine = BatchEngine(graph, backend="process", workers=2, schedule="fifo")
-        assert engine.backend.schedule == "fifo"
-        assert BatchEngine(graph, backend="process", workers=2).backend.schedule == "cost"
-        if "spawn" in multiprocessing.get_all_start_methods():
-            built = BatchEngine(graph, backend="process", workers=2, start_method="spawn")
-            assert built.backend.start_method == "spawn"
+    def test_start_method_threads_through(self, graph):
+        for method in multiprocessing.get_all_start_methods():
+            built = BatchEngine(graph, backend="process", workers=2, start_method=method)
+            assert built.backend.start_method == method
 
     def test_unknown_schedule_rejected(self):
-        with pytest.raises(ValueError, match="unknown schedule"):
-            ProcessPoolBackend(workers=2, schedule="random")
+        # Heaviest-first stealing is the pool's only dispatch: it takes
+        # neither a schedule nor a unit size.
+        with pytest.raises(TypeError, match="schedule"):
+            ProcessPoolBackend(workers=2, schedule="cost")
+        with pytest.raises(TypeError, match="chunk_size"):
+            ProcessPoolBackend(workers=2, chunk_size=4)
 
     def test_unavailable_start_method_rejected(self):
         with pytest.raises(ValueError, match="unavailable"):

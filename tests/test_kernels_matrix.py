@@ -1,15 +1,15 @@
-"""Determinism matrix: kernel x backend x schedule, plus cache agnosticism.
+"""Determinism matrix: kernel x backend, plus cache agnosticism.
 
-Every cell of the (kernel, backend, schedule) matrix must produce the
-same outcome stream as the serial-Python reference — byte-for-byte on
-vectors and counters — because the kernel knob, the executor backend and
-the chunk schedule are all pure *speed* knobs.  On top of the matrix:
+Every cell of the (kernel, backend) matrix must produce the same outcome
+stream as the serial-Python reference — byte-for-byte on vectors and
+counters — because the kernel knob and the executor backend are both
+pure *speed* knobs.  On top of the matrix:
 
 * cache entries are kernel-agnostic: an entry written under one kernel
   replays under any other, in both directions, because ``cache_key_for``
   excludes ``kernel`` exactly as it excludes ``tag``;
-* the scheduler's per-kernel cost scale keeps mixed-kernel batches
-  balanced (a compiled job no longer weighs as much as a Python one);
+* the scheduler's per-kernel cost scale orders mixed-kernel batches by
+  wall time (a compiled job no longer weighs as much as a Python one);
 * warm-up accounting: JIT/compile time is excluded from ``job_seconds``
   and tallied separately, and cache hits contribute to neither —
   mirroring the PR-4 cache-hit exclusion rule.
@@ -30,22 +30,18 @@ from repro.engine import (
     StatsReducer,
     job_grid,
 )
-from repro.engine.scheduler import (
-    KERNEL_COST_SCALE,
-    chunk_costs,
-    estimate_cost,
-    plan_chunks,
-)
+from repro.engine.scheduler import KERNEL_COST_SCALE, estimate_cost, plan_units
 from repro.graph import rand_local
 from repro.kernels import available_kernels
 
 KERNEL_VALUES = available_kernels() + ("auto",)
 
-#: (backend, schedule) cells; schedule only configures the process pool.
+#: backend cells; the process pool dispatches cost-ordered steal units.
+#: The ids keep their (backend, dispatch) form so results stay comparable
+#: across runs of the suite.
 CELLS = [
-    ("serial", None),
-    ("process", "cost"),
-    ("process", "fifo"),
+    pytest.param("serial", id="serial-None"),
+    pytest.param("process", id="process-cost"),
 ]
 
 
@@ -71,13 +67,10 @@ def reference(graph, jobs):
     return BatchEngine(graph).run(jobs)
 
 
-def make_engine(graph, backend, schedule, kernel, cache=None):
+def make_engine(graph, backend, kernel):
     if backend == "process":
-        return BatchEngine(
-            graph, backend="process", workers=2, schedule=schedule,
-            cache=cache, kernel=kernel,
-        )
-    return BatchEngine(graph, cache=cache, kernel=kernel)
+        return BatchEngine(graph, backend="process", workers=2, kernel=kernel)
+    return BatchEngine(graph, kernel=kernel)
 
 
 def assert_outcomes_identical(got, want):
@@ -95,13 +88,13 @@ def assert_outcomes_identical(got, want):
 
 class TestMatrix:
     @pytest.mark.parametrize("kernel", KERNEL_VALUES)
-    @pytest.mark.parametrize("backend,schedule", CELLS)
+    @pytest.mark.parametrize("backend", CELLS)
     def test_cell_equals_serial_python_reference(
-        self, graph, jobs, reference, kernel, backend, schedule, request
+        self, graph, jobs, reference, kernel, backend, request
     ):
         if backend == "process":
             request.getfixturevalue("forced_pool")  # a real pool, not in-process
-        engine = make_engine(graph, backend, schedule, kernel)
+        engine = make_engine(graph, backend, kernel)
         assert_outcomes_identical(engine.run(jobs), reference)
 
     @pytest.mark.parametrize("kernel", KERNEL_VALUES)
@@ -142,12 +135,12 @@ class TestCacheKernelAgnostic:
 
 
 class TestSchedulerBalance:
-    """Regression: ``schedule="cost"`` must not overweight compiled jobs."""
+    """Regression: the cost order must not overweight compiled jobs."""
 
     # A mixed batch where raw work bounds and wall time *disagree*: the
     # compiled jobs have 10x the raw push bound (tighter eps) but a
-    # fraction of the wall time.  Odd class counts force chunks to mix
-    # the classes, which is where an unscaled estimator misbalances.
+    # fraction of the wall time.  Stealing pulls units in plan order, so
+    # the true stragglers must lead the queue.
     def _mixed_jobs(self):
         python = [
             DiffusionJob.make(i, params={"alpha": 0.05, "eps": 1e-5}, kernel="python")
@@ -174,30 +167,24 @@ class TestSchedulerBalance:
             DiffusionJob.make(job.seeds, params=job.params, kernel="python")
         )
 
+    @staticmethod
+    def _dispatch_order(units):
+        return [index for unit in units for index, _ in unit]
+
     def test_scaled_plan_balances_wall_time(self, monkeypatch):
+        # The kernel-aware estimate puts both Python jobs (the wall-time
+        # stragglers) at the head of the queue, so they start at once.
         self._force_c_available(monkeypatch)
-        jobs = self._mixed_jobs()
-        chunks = plan_chunks(jobs, workers=2, chunk_size=3)
-        covered = sorted(index for chunk in chunks for index, _ in chunk)
-        assert covered == list(range(len(jobs)))
-        # Judge both plans by the *scaled* estimate — the wall-time proxy.
-        true_costs = chunk_costs(chunks, estimate_cost)
-        mean = sum(true_costs) / len(true_costs)
-        assert max(true_costs) <= 2.0 * mean  # the LPT 2-approximation bound
+        units = plan_units(self._mixed_jobs(), workers=2)
+        assert self._dispatch_order(units) == [0, 1, 2, 3, 4]
 
     def test_unscaled_estimator_would_misbalance(self, monkeypatch):
-        # The regression this scale fixes: planning by raw work bounds
-        # packs both Python stragglers together, so the batch's wall time
-        # is strictly worse than the kernel-aware plan's.
+        # The regression this scale fixes: ordering by raw work bounds
+        # queues the compiled jobs first and both Python stragglers last,
+        # where they extend the batch's tail.
         self._force_c_available(monkeypatch)
-        jobs = self._mixed_jobs()
-        scaled_plan = plan_chunks(jobs, workers=2, chunk_size=3)
-        unscaled_plan = plan_chunks(
-            jobs, workers=2, chunk_size=3, estimator=self._unscaled
-        )
-        scaled_makespan = max(chunk_costs(scaled_plan, estimate_cost))
-        unscaled_makespan = max(chunk_costs(unscaled_plan, estimate_cost))
-        assert scaled_makespan < unscaled_makespan
+        units = plan_units(self._mixed_jobs(), workers=2, estimator=self._unscaled)
+        assert self._dispatch_order(units) == [2, 3, 4, 0, 1]
 
     def test_scale_values_are_sane(self):
         assert KERNEL_COST_SCALE["python"] == 1.0

@@ -204,8 +204,6 @@ class TestEngineOptions:
     def test_validate_keeps_the_engine_conflict_messages(self):
         with pytest.raises(ValueError, match="unknown backend"):
             EngineOptions(backend="cluster").validate()
-        with pytest.raises(ValueError, match="unknown schedule"):
-            EngineOptions(workers=2, schedule="lifo").validate()
         with pytest.raises(ValueError, match="unknown kernel"):
             EngineOptions(kernel="fortran").validate()
 
@@ -213,7 +211,7 @@ class TestEngineOptions:
         assert EngineOptions.coerce(workers=2, cache=False, kernel=None) == (
             EngineOptions(workers=2)
         )
-        options = EngineOptions(schedule="fifo", workers=2)
+        options = EngineOptions(start_method="spawn", workers=2)
         assert EngineOptions.coerce(options, workers=None) is options
         with pytest.raises(TypeError, match="worker"):
             EngineOptions.coerce(worker=2)
@@ -221,15 +219,14 @@ class TestEngineOptions:
 
 class TestNoSilentlyDroppedKnob:
     def test_pool_knobs_without_a_pool_raise(self, graph, tmp_path):
-        """start_method/schedule need the process backend; every entry
-        point used to accept them on a serial engine and ignore them."""
-        for knobs in ({"start_method": "spawn"}, {"schedule": "fifo"}):
-            with pytest.raises(ValueError, match="configures the worker pool"):
-                BatchEngine(graph, **knobs)
-            with pytest.raises(ValueError, match="configures the worker pool"):
-                ncp_profile(graph, seeds=[0], **knobs)
-            with pytest.raises(ValueError, match="configures the worker pool"):
-                cluster_many(graph, [0], eps=1e-4, **knobs)
+        """start_method needs the process backend; every entry point used
+        to accept it on a serial engine and ignore it."""
+        with pytest.raises(ValueError, match="configures the worker pool"):
+            BatchEngine(graph, start_method="spawn")
+        with pytest.raises(ValueError, match="configures the worker pool"):
+            ncp_profile(graph, seeds=[0], start_method="spawn")
+        with pytest.raises(ValueError, match="configures the worker pool"):
+            cluster_many(graph, [0], eps=1e-4, start_method="spawn")
         path = tmp_path / "graph.npz"
         save_npz(graph, path)
         for command in (
@@ -241,6 +238,29 @@ class TestNoSilentlyDroppedKnob:
                 match="--start-method configures the worker pool; pass --workers > 1",
             ):
                 main([*command, "--start-method", "spawn"])
+
+    def test_removed_schedule_knob_is_refused(self, graph, tmp_path, capsys):
+        """The pool has one dispatch, heaviest-first steal units, so the
+        ``schedule`` knob is gone from every entry point; a stale caller
+        fails loudly instead of being silently ignored."""
+        from repro.serve import DiffusionService
+
+        for build in (
+            lambda: EngineOptions.coerce(workers=2, schedule="fifo"),
+            lambda: BatchEngine(graph, workers=2, schedule="fifo"),
+            lambda: DiffusionService(graph, workers=2, schedule="fifo"),
+        ):
+            with pytest.raises(TypeError, match="unexpected engine option.*schedule"):
+                build()
+        with pytest.raises(TypeError, match="schedule"):
+            ncp_profile(graph, seeds=[0], workers=2, schedule="fifo")
+        path = tmp_path / "graph.npz"
+        save_npz(graph, path)
+        with pytest.raises(SystemExit) as info:
+            main(["batch", str(path), str(tmp_path / "batch.csv"), "--seed", "0",
+                  "--workers", "2", "--schedule", "fifo"])
+        assert info.value.code == 2
+        assert "--schedule" in capsys.readouterr().err
 
     def test_prebuilt_engine_rejects_parallel_and_include_vectors(self, graph):
         engine = BatchEngine(graph)

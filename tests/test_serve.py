@@ -301,6 +301,45 @@ class TestServiceLifecycle:
         outcome = asyncio.run(scenario())
         assert outcome.size > 0
 
+    @pytest.mark.parametrize(
+        "method,name,value",
+        [
+            ("nibble", "max_iterations", 20.0),
+            ("pr-nibble", "max_iterations", 100.0),
+            ("hk-pr", "taylor_degree", 20.0),
+            ("hk-pr", "taylor_degree", True),
+            ("rand-hk-pr", "max_walk_length", 10.0),
+            ("rand-hk-pr", "num_walks", 500.0),
+        ],
+    )
+    def test_non_integer_count_refused_without_poisoning_its_batch(
+        self, graph, method, name, value
+    ):
+        """An integral float (or a bool) for an integer parameter used to
+        pass submit-time validation and then fail inside the micro-batch,
+        taking the good jobs queued beside it down too."""
+        from repro.core.options import RequestError
+
+        good = jobs_for((0, 150, 300))
+        bad = DiffusionJob.make(2, method=method, params={name: value})
+
+        async def scenario():
+            async with DiffusionService(graph) as service:
+                # No await between the submits: all of them would share
+                # one micro-batch.
+                futures = [service.submit(good[0])]
+                with pytest.raises(RequestError) as info:
+                    service.submit(bad)
+                futures += [service.submit(job) for job in good[1:]]
+                outcomes = await asyncio.gather(*futures)
+                return info.value, outcomes, service.stats
+
+        error, outcomes, stats = asyncio.run(scenario())
+        assert error.field == f"params.{name}" and error.code == 400
+        assert "must be an integer" in str(error)
+        assert stats.submitted == 3 and stats.failed == 0
+        assert_outcomes_match(BatchEngine(graph).run(good), outcomes)
+
     def test_constructor_validation(self, graph):
         with pytest.raises(ValueError, match="max_batch"):
             DiffusionService(graph, max_batch=0)

@@ -4,8 +4,8 @@ Scheduler v2's contract has three load-bearing pieces:
 
 * :func:`repro.engine.plan_units` orders jobs into fine-grained units for
   the pool's shared queue — a *partition* (every job exactly once),
-  heaviest-first under ``"cost"``, the legacy contiguous slices under
-  ``"fifo"``, and unit size collapsing to 1 when jobs-per-worker is low.
+  heaviest-first, and unit size collapsing to 1 when jobs-per-worker is
+  low.
 * :class:`repro.runtime.cost_model.CostModel` learns seconds-per-work-unit
   per (method, kernel) from completed outcomes.  Its calibration is
   *anchor-normalised*: calibrated estimates stay in static-estimate units,
@@ -35,7 +35,6 @@ from repro.engine import (
     StatsReducer,
     estimate_cost,
     observe_outcome,
-    plan_chunks,
     plan_units,
     run_job,
     steal_unit_size,
@@ -87,10 +86,9 @@ class TestStealUnits:
     @given(
         jobs=st.lists(diffusion_jobs(), min_size=1, max_size=80),
         workers=st.integers(1, 8),
-        schedule=st.sampled_from(["cost", "fifo"]),
     )
-    def test_plan_is_a_partition(self, jobs, workers, schedule):
-        units = plan_units(jobs, workers, schedule=schedule)
+    def test_plan_is_a_partition(self, jobs, workers):
+        units = plan_units(jobs, workers)
         seen = [index for unit in units for index, _ in unit]
         assert sorted(seen) == list(range(len(jobs)))  # every job exactly once
         for unit in units:
@@ -123,27 +121,15 @@ class TestStealUnits:
         # Plenty of jobs: units grow, capped at MAX_UNIT_JOBS.
         assert steal_unit_size(4 * 16 * 2, 4) == 2
         assert steal_unit_size(100_000, 4) == MAX_UNIT_JOBS
-        # An explicit chunk_size overrides the rule (floored at 1).
-        assert steal_unit_size(100_000, 4, chunk_size=5) == 5
-        assert steal_unit_size(10, 4, chunk_size=0) == 1
-
-    def test_fifo_keeps_legacy_contiguous_slices(self):
-        jobs = [pr_job(seed=s) for s in range(10)]
-        units = plan_units(jobs, workers=2, schedule="fifo", chunk_size=4)
-        assert [[i for i, _ in unit] for unit in units] == [
-            [0, 1, 2, 3],
-            [4, 5, 6, 7],
-            [8, 9],
-        ]
-        many = [pr_job(seed=s) for s in range(160)]
-        assert plan_units(many, 2, schedule="fifo") == plan_chunks(
-            many, 2, schedule="fifo"
-        )
 
     def test_empty_batch_and_unknown_schedule(self):
         assert plan_units([], workers=4) == []
-        with pytest.raises(ValueError, match="unknown schedule"):
-            plan_units([pr_job()], workers=2, schedule="lifo")
+        # Heaviest-first stealing is the only dispatch: no schedule or
+        # unit size can be chosen any more.
+        with pytest.raises(TypeError, match="schedule"):
+            plan_units([pr_job()], workers=2, schedule="fifo")
+        with pytest.raises(TypeError, match="chunk_size"):
+            steal_unit_size(10, 4, chunk_size=5)
 
     def test_custom_estimator_orders_units(self):
         jobs = [pr_job(seed=s) for s in range(6)]
@@ -265,7 +251,7 @@ class TestDispatchStats:
 def stealing_session():
     """One long-lived stealing pool session shared by every example, so
     the cost model calibrates across batches like a serving process."""
-    backend = ProcessPoolBackend(workers=3, schedule="cost")
+    backend = ProcessPoolBackend(workers=3)
     session = backend.open_session(GRAPH, parallel=True, include_vectors=False)
     yield backend, session
     session.close()
