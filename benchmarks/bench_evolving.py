@@ -1,32 +1,22 @@
-"""Evolving-graph plane — incremental PPR and cache survival under churn.
+"""Evolving-graph plane — cache survival under churn, and the update path.
 
 The workload models a social graph under skewed write traffic: the
 Twitter proxy takes a 1%-edge-churn update batch (insert-heavy,
 concentrated in one hot BFS neighborhood — real update streams are
 localized, not uniform) while a warmed engine keeps serving
 PR-Nibble queries whose seeds are spread over the whole graph.
+Results cross graph versions only through cache migration:
+:func:`repro.cache.advance_version` re-keys entries whose profile
+provably avoids the delta region, and under localized churn at least
+50% of the warmed entries must survive (and replay as hits on the new
+version).  That **cache survival rate** is asserted at full scale.
 
-Two headline numbers, both asserted at full scale:
-
-* **incremental-vs-cold speedup** — maintaining the prior ``(p, r)``
-  solutions through :func:`repro.core.pr_nibble_update` against cold
-  ``pr_nibble_sequential`` re-runs on the new version.  Corrections are
-  proportional to the delta's overlap with each support, so seeds far
-  from the hot region are nearly free; the batch-level speedup must be
-  >= 5x.
-* **cache survival rate** — :func:`repro.cache.advance_version` re-keys
-  entries whose profile provably avoids the delta region; under
-  localized churn at least 50% of the warmed entries must survive (and
-  replay as hits on the new version).
-
-Correctness is asserted at every scale, smoke included: incremental
-states satisfy the cold terminal condition ``|r(v)| < eps * d(v)``,
-every surviving cache hit is bit-identical to a cold recompute on the
-new version, and the sum of migration counters balances.  Set
-``REPRO_BENCH_SMOKE=1`` (the CI smoke job does) to keep those asserts
-but skip the speedup/survival floors — on the ~50x-shrunk smoke proxies
-the hot neighborhood is a large fraction of the graph and the cold runs
-are too short to time stably, so the full-scale floors do not transfer.
+Correctness is asserted at every scale, smoke included: every surviving
+cache hit is bit-identical to a cold recompute on the new version, and
+the sum of migration counters balances.  Set ``REPRO_BENCH_SMOKE=1``
+(the CI smoke job does) to keep those asserts but skip the survival
+floor — on the ~50x-shrunk smoke proxies the hot neighborhood is a large
+fraction of the graph, so the full-scale floor does not transfer.
 
 A second leg times the update path itself on the soc-LJ proxy, in the
 batch shape of the end-to-end ``evolving`` workload (50 edges inserted
@@ -55,23 +45,19 @@ import weakref
 
 import numpy as np
 
-from repro.bench import format_seconds, format_table, write_csv
+from repro.bench import format_table, write_csv
 from repro.cache import ResultCache, advance_version
-from repro.core import PRNibbleParams, pr_nibble_update
-from repro.core.pr_nibble import pr_nibble_sequential
-from repro.core.result import vector_items
 from repro.core.seeding import random_seeds
 from repro.engine import BatchEngine, DiffusionJob
 from repro.graph import CSRGraph, EvolvingGraph
 
 GRAPH = "Twitter"
 NUM_SEEDS = 24
-PARAMS = PRNibbleParams(alpha=0.05, eps=1e-3)
+PARAMS = {"alpha": 0.05, "eps": 1e-3}
 CHURN_FRACTION = 0.01  # deletions + insertions, as a fraction of edges
 DELETION_SHARE = 0.05  # social-graph churn is insert-heavy
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
-SPEEDUP_FLOOR = 5.0
 SURVIVAL_FLOOR = 0.5
 
 UPDATE_GRAPH = "soc-LJ"
@@ -153,31 +139,17 @@ def churn_batch(graph, rng):
     return insertions, deletions
 
 
-def _assert_terminal(graph, result):
-    keys, values = vector_items(result.extras["residual"])
-    degrees = graph.degrees(keys)
-    positive = degrees > 0
-    assert (np.abs(values[positive]) < PARAMS.eps * degrees[positive]).all()
-
-
 def _run_experiment(graph):
     rng = np.random.default_rng(17)
     chain = EvolvingGraph(graph)
     seeds = random_seeds(graph, NUM_SEEDS, rng=7)
-    jobs = [
-        DiffusionJob.make(int(seed), params={"alpha": PARAMS.alpha, "eps": PARAMS.eps})
-        for seed in seeds
-    ]
+    jobs = [DiffusionJob.make(int(seed), params=PARAMS) for seed in seeds]
 
-    # Warm pass: priors for the incremental path, entries for the cache.
     cache = ResultCache()
     warm_engine = BatchEngine(
         chain, cache=cache, include_vectors=True, graph_version=0
     )
     warm = warm_engine.run(jobs)
-    priors = {
-        int(seed): pr_nibble_sequential(graph, int(seed), PARAMS) for seed in seeds
-    }
 
     insertions, deletions = churn_batch(graph, rng)
     version = chain.apply_updates(insertions=insertions, deletions=deletions)
@@ -186,21 +158,6 @@ def _run_experiment(graph):
     replay_engine = BatchEngine(chain, cache=cache, include_vectors=True)
     replay = replay_engine.run(jobs)
 
-    incremental_seconds = cold_seconds = float("inf")
-    for _ in range(3):  # best-of-3: the incremental pass is sub-ms in total
-        start = time.perf_counter()
-        incremental = {
-            seed: pr_nibble_update(version, prior, seed, params=PARAMS)
-            for seed, prior in priors.items()
-        }
-        incremental_seconds = min(incremental_seconds, time.perf_counter() - start)
-        start = time.perf_counter()
-        cold = {
-            int(seed): pr_nibble_sequential(version.graph, int(seed), PARAMS)
-            for seed in seeds
-        }
-        cold_seconds = min(cold_seconds, time.perf_counter() - start)
-
     return {
         "chain": chain,
         "version": version,
@@ -208,10 +165,6 @@ def _run_experiment(graph):
         "warm": warm,
         "replay": replay,
         "migration": migration,
-        "incremental": incremental,
-        "cold": cold,
-        "incremental_seconds": incremental_seconds,
-        "cold_seconds": cold_seconds,
         "churn": (len(insertions), len(deletions)),
     }
 
@@ -222,27 +175,17 @@ def test_evolving_churn(benchmark, graphs):
 
     version = run["version"]
     migration = run["migration"]
-    speedup = run["cold_seconds"] / max(run["incremental_seconds"], 1e-12)
     survival = migration.survival_rate
     replay_hits = sum(outcome.cached for outcome in run["replay"])
-    untouched = sum(
-        1
-        for result in run["incremental"].values()
-        if result.extras["corrected_endpoints"] == 0
-    )
 
     headers = ["measure", "value"]
     rows = [
         ["graph", f"{GRAPH} proxy ({graph.num_vertices} vertices)"],
         ["churn (+ins/-del)", f"+{run['churn'][0]}/-{run['churn'][1]}"],
         ["touched vertices", len(version.touched)],
-        ["incremental wall", format_seconds(run["incremental_seconds"])],
-        ["cold wall", format_seconds(run["cold_seconds"])],
-        ["speedup", f"{speedup:.1f}x"],
         ["cache migration", migration.describe()],
         ["survival rate", f"{survival:.2f}"],
         ["replay hits", f"{replay_hits}/{NUM_SEEDS}"],
-        ["untouched solutions", f"{untouched}/{NUM_SEEDS}"],
     ]
     print()
     print(
@@ -258,9 +201,6 @@ def test_evolving_churn(benchmark, graphs):
         [
             "graph",
             "seeds",
-            "incremental_seconds",
-            "cold_seconds",
-            "speedup",
             "survived",
             "invalidated",
             "skipped",
@@ -271,9 +211,6 @@ def test_evolving_churn(benchmark, graphs):
             [
                 GRAPH,
                 NUM_SEEDS,
-                run["incremental_seconds"],
-                run["cold_seconds"],
-                speedup,
                 migration.survived,
                 migration.invalidated,
                 migration.skipped,
@@ -289,9 +226,6 @@ def test_evolving_churn(benchmark, graphs):
         "churn_fraction": CHURN_FRACTION,
         "deletion_share": DELETION_SHARE,
         "touched_vertices": len(version.touched),
-        "incremental_seconds": run["incremental_seconds"],
-        "cold_seconds": run["cold_seconds"],
-        "incremental_vs_cold_speedup": speedup,
         "migration": {
             "examined": migration.examined,
             "survived": migration.survived,
@@ -300,14 +234,12 @@ def test_evolving_churn(benchmark, graphs):
         },
         "cache_survival_rate": survival,
         "replay_hits": replay_hits,
-        "untouched_solutions": untouched,
     }
     merge_summary(summary)
     print(json.dumps(summary, indent=2))
 
     # Correctness, at every scale.  The migration counters must balance;
-    # every incremental state satisfies the cold terminal condition; every
-    # cache hit served on the new version is bit-identical to a cold
+    # every cache hit served on the new version is bit-identical to a cold
     # engine recompute there.
     assert migration.examined == NUM_SEEDS
     assert (
@@ -315,8 +247,6 @@ def test_evolving_churn(benchmark, graphs):
         == migration.examined
     )
     assert replay_hits == migration.survived
-    for result in run["incremental"].values():
-        _assert_terminal(version.graph, result)
     cold_engine = BatchEngine(version.graph, include_vectors=True)
     cold_outcomes = cold_engine.run(run["jobs"])
     for outcome, reference in zip(run["replay"], cold_outcomes):
@@ -326,11 +256,10 @@ def test_evolving_churn(benchmark, graphs):
         assert np.array_equal(outcome.vector_keys, reference.vector_keys)
         assert np.array_equal(outcome.vector_values, reference.vector_values)
 
-    # The headline floors describe the full-scale workload; the smoke
+    # The survival floor describes the full-scale workload; the smoke
     # proxies shrink the graph ~50x but not the seed count, so the hot
     # region swallows most supports there.
     if not SMOKE:
-        assert speedup >= SPEEDUP_FLOOR, f"incremental speedup {speedup:.1f}x < 5x"
         assert survival >= SURVIVAL_FLOOR, f"cache survival {survival:.2f} < 0.5"
 
 

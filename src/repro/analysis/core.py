@@ -121,19 +121,6 @@ class Project:
                     return source, node
         return None
 
-    def find_function(
-        self, name: str
-    ) -> tuple[Source, ast.FunctionDef | ast.AsyncFunctionDef] | None:
-        """First module-level function definition called ``name``, if any."""
-        for source in self.sources:
-            for node in source.tree.body:
-                if (
-                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name == name
-                ):
-                    return source, node
-        return None
-
 
 class Rule:
     """Base class for checks; subclasses override one ``check_*`` hook."""

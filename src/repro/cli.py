@@ -179,7 +179,10 @@ def _cmd_update(args: argparse.Namespace) -> int:
 
 
 def _parse_scalar(raw: str) -> object:
-    """int, else float, else the raw string — the --param value grammar."""
+    """``true``/``false`` as bools, else int, else float, else the raw
+    string — the --param value grammar."""
+    if raw in ("true", "false"):
+        return raw == "true"
     try:
         return int(raw)
     except ValueError:

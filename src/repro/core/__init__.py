@@ -23,9 +23,7 @@ from .pr_nibble import (
     PRNibbleParams,
     pr_nibble,
     pr_nibble_parallel,
-    pr_nibble_residual,
     pr_nibble_sequential,
-    pr_nibble_update,
 )
 from .quality import ClusterStats, boundary_size, cluster_stats, conductance, volume
 from .rand_hk_pr import (
@@ -71,9 +69,7 @@ __all__ = [
     "PRNibbleParams",
     "pr_nibble",
     "pr_nibble_parallel",
-    "pr_nibble_residual",
     "pr_nibble_sequential",
-    "pr_nibble_update",
     "ClusterStats",
     "boundary_size",
     "cluster_stats",

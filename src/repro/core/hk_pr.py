@@ -44,7 +44,7 @@ from ..ligra import VertexSubset, charge_edge_map, edge_map, expand_by_degree, v
 from ..prims.hashtable import TableCharges
 from ..prims.sparse import SparseDict, SparseVector
 from ..runtime import log2ceil, record
-from .result import DiffusionResult, check_count, seed_array
+from .result import DiffusionResult, check_count, check_real, seed_array
 
 __all__ = [
     "HKPRParams",
@@ -69,6 +69,8 @@ class HKPRParams:
     eps: float = 1e-6
 
     def __post_init__(self) -> None:
+        check_real("t", self.t)
+        check_real("eps", self.eps)
         if self.t <= 0.0:
             raise ValueError("t must be positive")
         check_count("taylor_degree", self.taylor_degree, 1)

@@ -35,7 +35,7 @@ from ..ligra import VertexSubset, charge_edge_map, edge_map, expand_by_degree, v
 from ..prims.hashtable import TableCharges
 from ..prims.sparse import SparseDict, SparseVector
 from ..runtime import log2ceil, record
-from .result import DiffusionResult, check_count, seed_array
+from .result import DiffusionResult, check_count, check_real, seed_array
 
 __all__ = ["NibbleParams", "nibble_sequential", "nibble_parallel", "nibble"]
 
@@ -54,6 +54,7 @@ class NibbleParams:
 
     def __post_init__(self) -> None:
         check_count("max_iterations", self.max_iterations, 1)
+        check_real("eps", self.eps)
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must be in (0, 1)")
 

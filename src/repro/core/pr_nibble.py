@@ -34,22 +34,6 @@ O(1 / (eps * alpha)).
 The **beta-fraction variant** mentioned at the end of Section 3.3 processes
 only the top ``beta``-fraction of eligible vertices by ``r[v]/d(v)`` per
 iteration, trading parallelism against total work.
-
-The **incremental variant** :func:`pr_nibble_update` maintains a solution
-across graph versions (:mod:`repro.graph.evolving`): both push rules
-conserve the linear invariant ``p + M r = M s`` with
-``M = c1 (I - c2 W)^{-1}``, ``c1 = 2 alpha / (1 + alpha)``,
-``c2 = (1 - alpha) / (1 + alpha)`` and ``W = A D^{-1}`` the walk matrix, so
-when an update batch changes ``W`` only in the columns of touched vertices,
-the prior ``(p, r)`` is re-validated for the new graph by the local residual
-correction ``r' = r + (c2 / c1) (W' - W) p`` — charged only at mutated
-endpoints with mass — and then pushed to convergence under the paper's
-usual ``|r(v)| / d(v) < eps`` terminal condition.  Deletions can drive
-residuals negative, so the incremental push is signed; the result obeys
-the same invariant and threshold as a cold run at the same ``eps`` (the
-push *order* differs, so vectors agree to within the residual tolerance
-rather than bitwise — the differential suite pins the invariant, the
-terminal condition and sweep-cut equivalence).
 """
 
 from __future__ import annotations
@@ -65,15 +49,13 @@ from ..ligra import VertexSubset, charge_edge_map, edge_map, expand_by_degree, v
 from ..prims.hashtable import TableCharges
 from ..prims.sparse import SparseDict, SparseVector
 from ..runtime import log2ceil, record
-from .result import DiffusionResult, check_count, seed_array
+from .result import DiffusionResult, check_count, check_flag, check_real, seed_array
 
 __all__ = [
     "PRNibbleParams",
     "pr_nibble_sequential",
     "pr_nibble_parallel",
     "pr_nibble",
-    "pr_nibble_residual",
-    "pr_nibble_update",
 ]
 
 
@@ -94,6 +76,9 @@ class PRNibbleParams:
     max_iterations: int = 10**9
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "eps", "beta"):
+            check_real(name, getattr(self, name))
+        check_flag("optimized", self.optimized)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         if not 0.0 < self.eps < 1.0:
@@ -365,212 +350,3 @@ def pr_nibble(
         return pr_nibble_parallel(graph, seeds, params, kernel=kernel)
     return pr_nibble_sequential(graph, seeds, params, kernel=kernel)
 
-
-def _sparse_copy(vector: "SparseDict | SparseVector | dict") -> SparseDict:
-    """A mutable :class:`SparseDict` copy of any supported vector type."""
-    from .result import vector_items
-
-    keys, values = vector_items(vector)
-    return SparseDict(dict(zip(keys.tolist(), values.tolist())))
-
-
-def pr_nibble_residual(
-    graph: CSRGraph,
-    vector: "SparseDict | SparseVector | dict",
-    seeds: int | np.ndarray,
-    alpha: float,
-) -> SparseDict:
-    """The residual implied by ``vector`` on ``graph`` under the push invariant.
-
-    Every PR-Nibble state satisfies ``p + M r = M s`` with
-    ``M = c1 (I - c2 W)^{-1}``, which pins the residual as a function of the
-    pagerank vector: ``r = s - p / c1 + (c2 / c1) W p``.  Cost
-    O(vol(supp p)).  The differential tests use this to check that the
-    incremental path lands on the *same* invariant a cold run maintains.
-    """
-    seed_list = seed_array(seeds, graph.num_vertices)
-    c1 = 2.0 * alpha / (1.0 + alpha)
-    c2 = (1.0 - alpha) / (1.0 + alpha)
-    residual = SparseDict({int(s): 1.0 / len(seed_list) for s in seed_list})
-    for vertex, mass in _sparse_copy(vector).items():
-        if mass == 0.0:
-            continue
-        residual.add(vertex, -mass / c1)
-        degree = graph.degree(vertex)
-        if degree == 0:
-            continue
-        share = (c2 / c1) * mass / degree
-        for neighbor in graph.neighbors_of(vertex).tolist():
-            residual.add(neighbor, share)
-    return residual
-
-
-def pr_nibble_update(
-    version,
-    prior: DiffusionResult,
-    seeds: int | np.ndarray,
-    params: PRNibbleParams | None = None,
-    since=None,
-    kernel: str | None = None,
-) -> DiffusionResult:
-    """Incrementally maintain a PR-Nibble solution across graph versions.
-
-    ``version`` is the :class:`~repro.graph.evolving.GraphVersion` to solve
-    on; ``prior`` is a solution (pagerank vector plus the residual in
-    ``extras["residual"]``) computed with the *same seeds and params* on
-    ``since`` (default: ``version.parent``), which must be an ancestor of
-    ``version``.  Instead of recomputing from scratch, the prior residual
-    is corrected at the mutated endpoints — only touched vertices carrying
-    pagerank mass contribute, ``r' = r + (c2/c1)(W' - W) p`` — and pushing
-    resumes from there under the same ``|r(v)| >= eps * d(v)`` eligibility.
-    Deletions make residuals signed, so eligibility and the terminal
-    condition use ``|r|``; both update rules (``optimized`` and original)
-    share the invariant, and the returned state satisfies exactly what a
-    cold :func:`pr_nibble_sequential` run at the same ``eps`` guarantees.
-
-    ``kernel`` is validated for interface parity; the correction loop is
-    Python (its work is proportional to the delta, not the graph).
-    """
-    params = params or PRNibbleParams()
-    graph = version.graph
-    seed_list = seed_array(seeds, graph.num_vertices)
-    resolve_kernel(kernel)  # validate even though the correction path is Python
-    ancestor = version.parent if since is None else since
-    if ancestor is None:
-        raise ValueError("version has no parent; run a cold pr_nibble instead")
-    touched = version.touched_since(ancestor)
-    old_graph = ancestor.graph
-    alpha = params.alpha
-    eps = params.eps
-    scale = (1.0 - alpha) / (2.0 * alpha)  # c2 / c1
-    residual_prior = prior.extras.get("residual")
-    if residual_prior is None:
-        raise ValueError(
-            "prior result carries no residual; incremental maintenance needs "
-            "the (p, r) pair a pr_nibble run returns"
-        )
-
-    # The common serving case — an update far from this solution's
-    # support — must cost O(|delta|) numpy work, not Python scans and
-    # vector copies, so the touched-with-mass set is intersected up front.
-    from .result import vector_items
-
-    p_keys, _ = vector_items(prior.vector)
-    # ``touched`` is unique+sorted per version and sparse-vector keys are
-    # unique by construction, so the dedup passes inside intersect1d are
-    # skippable — they dominate the fast path's constant otherwise.
-    hot = np.intersect1d(touched, p_keys, assume_unique=True)
-    if hot.size == 0:
-        # No touched vertex carries pagerank mass, so the correction is
-        # identically zero; only *thresholds* can have moved (a touched
-        # vertex's degree changed).  If no residual entry at a touched
-        # vertex became push-eligible, the prior state already is the
-        # solution on the new version — return it without copying.
-        r_keys, r_values = vector_items(residual_prior)
-        order = np.argsort(r_keys)
-        r_keys, r_values = r_keys[order], r_values[order]
-        maybe = np.intersect1d(touched, r_keys, assume_unique=True)
-        degrees = graph.degrees(maybe)
-        values = r_values[np.searchsorted(r_keys, maybe)]
-        if not ((degrees > 0) & (np.abs(values) >= eps * degrees)).any():
-            record(work=0.0, depth=0.0, category="sequential")
-            return DiffusionResult(
-                vector=prior.vector,
-                iterations=0,
-                pushes=0,
-                touched_edges=0,
-                extras={
-                    "residual_mass": float(np.abs(r_values).sum()),
-                    "residual": residual_prior,
-                    "corrected_endpoints": 0,
-                    "incremental": True,
-                },
-            )
-
-    p = _sparse_copy(prior.vector)
-    r = _sparse_copy(residual_prior)
-
-    # Residual correction: only the touched columns of the walk matrix
-    # changed, so charge (c2/c1) * p[u] * (column'_u - column_u) for each
-    # touched u with mass.  Candidates collect every vertex whose residual
-    # or threshold may have moved.
-    corrected = 0
-    candidates = set(int(u) for u in touched.tolist()) if hot.size else set()
-    for u in hot.tolist():
-        u = int(u)
-        mass = p[u]
-        if mass == 0.0:
-            continue
-        corrected += 1
-        old_degree = old_graph.degree(u)
-        if old_degree > 0:
-            share = scale * mass / old_degree
-            for w in old_graph.neighbors_of(u).tolist():
-                r.add(w, -share)
-                candidates.add(w)
-        new_degree = graph.degree(u)
-        if new_degree > 0:
-            share = scale * mass / new_degree
-            for w in graph.neighbors_of(u).tolist():
-                r.add(w, share)
-                candidates.add(w)
-
-    # Only vertices with a nonzero residual entry can be push-eligible
-    # (the threshold ``eps * degree`` is positive wherever pushes are
-    # defined), so candidates are filtered against the residual's support
-    # before any degree lookups happen.
-    queue: deque[int] = deque()
-    queued: set[int] = set()
-    if corrected:
-        eligible = sorted(v for v in candidates if v in r)
-    else:
-        r_keys, _ = vector_items(r)
-        eligible = [int(v) for v in np.intersect1d(touched, r_keys).tolist()]
-    for vertex in eligible:
-        degree = graph.degree(vertex)
-        if degree > 0 and abs(r[vertex]) >= eps * degree:
-            queue.append(vertex)
-            queued.add(vertex)
-    pushes = 0
-    touched_edges = 0
-    while queue:
-        vertex = queue.popleft()
-        queued.discard(vertex)
-        degree = graph.degree(vertex)
-        if degree == 0:
-            continue
-        threshold = eps * degree
-        # Signed pushes: the update rules are linear, so pushing a negative
-        # residual retracts mass exactly as pushing a positive one adds it.
-        while abs(r[vertex]) >= threshold:
-            residual = r[vertex]
-            if params.optimized:
-                p.add(vertex, (2.0 * alpha / (1.0 + alpha)) * residual)
-                share = ((1.0 - alpha) / (1.0 + alpha)) * residual / degree
-                r[vertex] = 0.0
-            else:
-                p.add(vertex, alpha * residual)
-                share = (1.0 - alpha) * residual / (2.0 * degree)
-                r[vertex] = (1.0 - alpha) * residual / 2.0
-            pushes += 1
-            touched_edges += degree
-            for neighbor in graph.neighbors_of(vertex).tolist():
-                r.add(neighbor, share)
-                if neighbor not in queued and abs(r[neighbor]) >= eps * graph.degree(
-                    neighbor
-                ):
-                    queue.append(neighbor)
-                    queued.add(neighbor)
-    record(work=float(touched_edges + 2 * pushes), depth=0.0, category="sequential")
-    return DiffusionResult(
-        vector=p,
-        iterations=pushes,
-        pushes=pushes,
-        touched_edges=touched_edges,
-        extras={
-            "residual_mass": r.l1_norm(),
-            "residual": r,
-            "corrected_endpoints": corrected,
-            "incremental": True,
-        },
-    )

@@ -34,7 +34,7 @@ from ..prims.hashtable import IntFloatHashTable, TableCharges
 from ..prims.sort import charge_integer_sort, integer_sort_order
 from ..prims.sparse import SparseDict, SparseVector
 from ..runtime import log2ceil, record
-from .result import DiffusionResult, check_count, seed_array
+from .result import DiffusionResult, check_count, check_real, seed_array
 
 __all__ = [
     "RandHKPRParams",
@@ -60,6 +60,7 @@ class RandHKPRParams:
     num_walks: int = 100_000
 
     def __post_init__(self) -> None:
+        check_real("t", self.t)
         if self.t <= 0.0:
             raise ValueError("t must be positive")
         check_count("max_walk_length", self.max_walk_length, 0)

@@ -1,5 +1,5 @@
 """Result types returned by the diffusion algorithms and the sweep cut,
-and the seed normaliser and integer-parameter check every diffusion
+and the seed normaliser and parameter type checks every diffusion
 shares."""
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ __all__ = [
     "SweepResult",
     "ClusterResult",
     "check_count",
+    "check_flag",
+    "check_real",
     "seed_array",
     "vector_items",
 ]
@@ -34,6 +36,23 @@ def check_count(name: str, value: object, minimum: int) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
+
+
+def check_real(name: str, value: object) -> None:
+    """Raise ``TypeError`` unless ``value`` is a real number other than a
+    bool: ``t=True`` would pass a range check as ``1`` yet get a different
+    cache key than the ``1.0`` it runs as."""
+    if isinstance(value, float):  # the common case, without the ABC lookup
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+
+
+def check_flag(name: str, value: object) -> None:
+    """Raise ``TypeError`` unless ``value`` is a bool: a flag read by
+    truthiness would run ``"false"`` as ``True``."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{name} must be a bool, got {value!r}")
 
 
 def seed_array(seeds: "int | np.ndarray", num_vertices: int) -> np.ndarray:

@@ -14,9 +14,8 @@ Three pieces:
   producing a :class:`GraphVersion` that carries the materialised graph,
   its own content fingerprint, a parent link, and the **touched-vertex
   set** of the delta (the vertices whose adjacency lists changed).  The
-  touched set is what downstream planes consume: incremental PPR
-  (:func:`repro.core.pr_nibble.pr_nibble_update`) corrects residuals only
-  at touched endpoints, and the cache (:func:`repro.cache.advance_version`)
+  touched set is what cache migration consumes:
+  :func:`repro.cache.advance_version` carries results across versions and
   invalidates only entries whose recorded support intersects the delta
   region.
 * Two materialisation paths with a **rebuild threshold**: small batches
@@ -78,11 +77,14 @@ def normalize_update_edges(
     """Update pairs as a deduplicated ``(k, 2)`` int64 array with ``u < v``.
 
     Updates are explicit user input, so unlike the bulk builders nothing is
-    silently dropped: self-loops and out-of-range endpoints raise.
+    silently altered: non-integer endpoints (floats, strings, bools),
+    self-loops and out-of-range endpoints raise.
     """
     pairs = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
     if pairs.size == 0:
         return np.empty((0, 2), dtype=np.int64)
+    if pairs.dtype.kind not in "iu":
+        raise ValueError(f"update endpoints must be integers, got dtype {pairs.dtype}")
     pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
     if pairs.min() < 0 or pairs.max() >= num_vertices:
         raise ValueError(
@@ -298,29 +300,6 @@ class GraphVersion:
             self, insertions, deletions, rebuild_threshold=rebuild_threshold
         )
 
-    def touched_since(self, ancestor: "GraphVersion") -> np.ndarray:
-        """Union of touched sets along the parent chain back to ``ancestor``.
-
-        ``ancestor`` must be this version or one of its ancestors; the
-        returned set is every vertex whose adjacency may differ between the
-        two versions (the delta region incremental maintenance corrects).
-        """
-        sets: list[np.ndarray] = []
-        cursor: GraphVersion | None = self
-        while cursor is not None and cursor is not ancestor:
-            sets.append(cursor.touched)
-            cursor = cursor.parent
-        if cursor is None:
-            raise ValueError(
-                f"version {ancestor.version} is not an ancestor of version "
-                f"{self.version}"
-            )
-        if not sets:
-            return np.empty(0, dtype=np.int64)
-        if len(sets) == 1:
-            return sets[0]  # already unique and sorted per version
-        return np.unique(np.concatenate(sets))
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"GraphVersion(v{self.version}, touched={len(self.touched)}, "
@@ -418,10 +397,6 @@ class EvolvingGraph:
     @property
     def latest(self) -> GraphVersion:
         return self._versions[-1]
-
-    @property
-    def num_versions(self) -> int:
-        return len(self._versions)
 
     @property
     def num_vertices(self) -> int:

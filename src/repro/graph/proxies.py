@@ -10,8 +10,10 @@ evaluation:
 * social networks (soc-LJ, com-LJ, com-Orkut)  -> power-law community model
   (heavy-tailed degrees + small dense communities = good local clusters);
 * citation network (cit-Patents)               -> copying/recency model;
-* microblog / friend crawls (Twitter, com-friendster) -> R-MAT;
-* Web graph (Yahoo)                            -> sparser, more skewed R-MAT;
+* microblog / friend crawls (Twitter, com-friendster) -> community model
+  with heavy-tailed global degrees (pure R-MAT has no communities);
+* Web graph (Yahoo)                            -> community model with far
+  larger communities;
 * mesh (nlpkkt240)                             -> 3-D grid (the paper itself
   observes these have *no good local clusters* and terminate instantly);
 * randLocal, 3D-grid                           -> the paper's own generators,
@@ -24,7 +26,6 @@ them heavily.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -75,23 +76,6 @@ def _social(
             max_size=max_size,
             size_exponent=size_exponent,
             density_decay=density_decay,
-            seed=seed + seed_offset,
-        )
-
-    return build
-
-
-def _rmat(scale_base: int, edge_factor: int, a: float, seed_offset: int):
-    def build(scale: float, seed: int) -> CSRGraph:
-        # Adjust the R-MAT scale so vertex count tracks the multiplier.
-        shift = int(round(math.log2(max(scale, 2**-8)))) if scale != 1.0 else 0
-        b = c = (1.0 - a) * 0.42
-        return gen.rmat(
-            max(8, scale_base + shift),
-            edge_factor=edge_factor,
-            a=a,
-            b=b,
-            c=c,
             seed=seed + seed_offset,
         )
 

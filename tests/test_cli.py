@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import local_cluster
 from repro.cli import main
-from repro.graph import paper_figure1_graph, save_npz, write_edge_list
+from repro.graph import barbell_graph, paper_figure1_graph, save_npz, write_edge_list
 
 
 class TestGraphsCommand:
@@ -80,6 +81,17 @@ class TestClusterCommand:
         save_npz(paper_figure1_graph(), path)
         with pytest.raises(SystemExit):
             main(["cluster", str(path), "--param", "epsilon"])
+
+    def test_bool_param_parsed_as_bool(self, tmp_path, capsys):
+        # "--param optimized=false" must run the original rule, not read
+        # the string "false" as true.
+        graph = barbell_graph(8)
+        path = tmp_path / "barbell.npz"
+        save_npz(graph, path)
+        args = ["cluster", str(path), "--seed", "0", "--param", "eps=1e-4"]
+        assert main([*args, "--param", "optimized=false"]) == 0
+        original = local_cluster(graph, 0, "pr-nibble", optimized=False, eps=1e-4)
+        assert f"pushes={original.diffusion.pushes}\n" in capsys.readouterr().out
 
     def test_cluster_on_proxy(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0.05")

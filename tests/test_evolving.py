@@ -4,8 +4,8 @@ Covers the version chain itself (:mod:`repro.graph.evolving`), the
 engine's tracking-vs-pinned semantics (``graph_version=`` and the
 session staleness guard), and the region-aware cross-version cache
 migration (:func:`repro.cache.advance_version`).  The differential
-properties — incremental ≡ cold across kernels and backends — live in
-``test_evolving_differential.py``.
+properties — migrated hits ≡ cold recomputes, updated versions identical
+across kernels and backends — live in ``test_evolving_differential.py``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.graph import (
     EvolvingGraph,
     GraphVersion,
     apply_updates,
-    barbell_graph,
     cycle_graph,
     normalize_update_edges,
 )
@@ -95,20 +94,20 @@ class TestApplyUpdates:
         assert v2.version == 2
         assert v2.fingerprint() == root.fingerprint()
 
-    def test_touched_since_unions_the_chain(self, small_cycle):
-        root = GraphVersion(small_cycle)
-        v1 = root.apply(insertions=[(0, 4)])
-        v2 = v1.apply(deletions=[(7, 8)])
-        assert v2.touched_since(root).tolist() == [0, 4, 7, 8]
-        assert v2.touched_since(v1).tolist() == [7, 8]
-        assert len(v2.touched_since(v2)) == 0
-
-    def test_touched_since_rejects_non_ancestor(self, small_cycle):
-        root = GraphVersion(small_cycle)
-        v1 = root.apply(insertions=[(0, 4)])
-        sibling = root.apply(insertions=[(1, 5)])
-        with pytest.raises(ValueError, match="not an ancestor"):
-            v1.touched_since(sibling)
+    @pytest.mark.parametrize(
+        "edges,dtype",
+        [
+            ([(0.7, 3.2)], "float64"),
+            ([("0", "3")], "<U1"),
+            (np.array([[False, True]]), "bool"),
+        ],
+    )
+    def test_non_integer_endpoints_rejected(self, edges, dtype):
+        # Truncating or parsing them would apply an edge nobody named.
+        with pytest.raises(ValueError, match=f"got dtype {dtype}"):
+            apply_updates(cycle_graph(8), insertions=edges)
+        with pytest.raises(ValueError, match=f"got dtype {dtype}"):
+            apply_updates(cycle_graph(8), deletions=edges)
 
 
 class TestEvolvingGraph:

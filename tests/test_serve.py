@@ -310,6 +310,11 @@ class TestServiceLifecycle:
             ("hk-pr", "taylor_degree", True),
             ("rand-hk-pr", "max_walk_length", 10.0),
             ("rand-hk-pr", "num_walks", 500.0),
+            ("pr-nibble", "optimized", "false"),
+            ("pr-nibble", "optimized", 0),
+            ("pr-nibble", "beta", True),
+            ("hk-pr", "t", True),
+            ("rand-hk-pr", "t", True),
         ],
     )
     def test_non_integer_count_refused_without_poisoning_its_batch(
@@ -317,7 +322,9 @@ class TestServiceLifecycle:
     ):
         """An integral float (or a bool) for an integer parameter used to
         pass submit-time validation and then fail inside the micro-batch,
-        taking the good jobs queued beside it down too."""
+        taking the good jobs queued beside it down too.  A flag or a real
+        parameter of the wrong type used to pass validation and run as the
+        value its truthiness or int reading gave it."""
         from repro.core.options import RequestError
 
         good = jobs_for((0, 150, 300))
@@ -335,8 +342,10 @@ class TestServiceLifecycle:
                 return info.value, outcomes, service.stats
 
         error, outcomes, stats = asyncio.run(scenario())
+        expected = {"optimized": "must be a bool", "beta": "must be a real number",
+                    "t": "must be a real number"}.get(name, "must be an integer")
         assert error.field == f"params.{name}" and error.code == 400
-        assert "must be an integer" in str(error)
+        assert expected in str(error)
         assert stats.submitted == 3 and stats.failed == 0
         assert_outcomes_match(BatchEngine(graph).run(good), outcomes)
 
